@@ -64,7 +64,10 @@ class DeonticAlgebra:
         self.P = np.asarray(P, dtype=np.int32)
         self.F = np.asarray(F, dtype=np.int32)
         self._E = None if E is None else np.asarray(E, dtype=np.int32)
-        self.flavor = ("B" if is_boolean(action) else "H") + ("B" if is_boolean(formula) else "H")
+
+    @property
+    def flavor(self) -> str:
+        return "".join("B" if is_boolean(x) else "H" for x in (self.action, self.formula))
 
     def E(self, a: int, b: int) -> int:
         if self._E is None:
@@ -263,10 +266,12 @@ def _eval_form_batch(D, assign, t):
         return Fm.top
     if isinstance(t, S.Eq):
         return D.vE(_eval_act_batch(D, assign, t.left), _eval_act_batch(D, assign, t.right))
+    # P and F may carry a leading candidate axis; atleast_1d keeps a
+    # letter-free argument on the interpretation axis instead of that one
     if isinstance(t, S.Perm):
-        return D.P[_eval_act_batch(D, assign, t.arg)]
+        return D.P[..., np.atleast_1d(_eval_act_batch(D, assign, t.arg))]
     if isinstance(t, S.Forb):
-        return D.F[_eval_act_batch(D, assign, t.arg)]
+        return D.F[..., np.atleast_1d(_eval_act_batch(D, assign, t.arg))]
     if isinstance(t, S.Or):
         return Fm.vjoin(_eval_form_batch(D, assign, t.left), _eval_form_batch(D, assign, t.right))
     if isinstance(t, S.And):
@@ -462,34 +467,46 @@ def extend_by_irreducibles(action: HeytingAlgebra, formula: HeytingAlgebra,
     """Antitone extension: map x to the formula-meet of values at ji below x.
 
     Join-irreducible generation makes condition 1 (join-to-meet) automatic in
-    a distributive lattice; the empty meet puts top at 0.
+    a distributive lattice; the empty meet puts top at 0.  Leading axes of
+    ``values`` stack several assignments, and the maps stack the same way.
     """
-    out = np.full(action.size, formula.top, dtype=np.int32)
-    for x in range(action.size):
-        v = formula.top
-        for j, val in zip(ji, values):
-            if action.leq(j, x):
-                v = formula.meet(v, val)
-        out[x] = v
+    values = np.asarray(values, dtype=np.int32)
+    out = np.full(values.shape[:-1] + (action.size,), formula.top, dtype=np.int32)
+    for i, below in enumerate(action.leq_matrix()[list(ji)]):
+        out[..., below] = formula.vmeet(out[..., below], values[..., i, None])
     return out
+
+
+def _pf_stacks(action: HeytingAlgebra, formula: HeytingAlgebra):
+    """The valid (P, F) pairs as non-empty (c, |A|) stacks in enumerate_pf_maps
+    order; condition 3 is one broadcast per block of at most ``_COND_CHUNK``
+    cells, the F maps blocked too (against one P map each) if they fill one."""
+    ji = action.join_irreducibles()
+    n, total = action.size, formula.size ** len(ji)
+    rest = np.arange(n) != action.bot
+
+    def maps(lo, hi):  # antitone maps lo..hi-1 in itertools.product order
+        codes = np.arange(lo, min(hi, total))[:, None] // formula.size ** np.arange(len(ji))[::-1]
+        return extend_by_irreducibles(action, formula, ji, codes % formula.size)
+
+    fstep = max(1, min(total, _COND_CHUNK // n))
+    pstep = max(1, _COND_CHUNK // (fstep * n))
+    for p0 in range(0, total, pstep):
+        Ps = maps(p0, p0 + pstep)
+        for f0 in range(0, total, fstep):
+            Fs = maps(f0, f0 + fstep)
+            ok = (formula.vmeet(Ps[:, None, rest], Fs[None, :, rest]) == formula.bot).all(axis=2)
+            pi, fi = np.nonzero(ok)
+            if len(pi):
+                yield Ps[pi], Fs[fi]
 
 
 def enumerate_pf_maps(action: HeytingAlgebra, formula: HeytingAlgebra):
     """All valid (P, F) pairs with crisp E, in deterministic order.
 
     Pairs are generated from formula-element assignments to the action
-    algebra's join-irreducibles and filtered by condition 3 (with crisp E,
-    conditions 4-6 hold automatically and 1-2 hold by construction).
+    algebra's join-irreducibles, P-major, and filtered by condition 3 (with
+    crisp E, conditions 4-6 hold automatically and 1-2 hold by construction).
     """
-    import itertools as it
-    ji = action.join_irreducibles()
-    fvals = range(formula.size)
-    for p_vals in it.product(fvals, repeat=len(ji)):
-        P = extend_by_irreducibles(action, formula, ji, p_vals)
-        for f_vals in it.product(fvals, repeat=len(ji)):
-            F = extend_by_irreducibles(action, formula, ji, f_vals)
-            idx = np.arange(action.size)
-            pf = formula.vmeet(P[idx], F[idx])
-            ok = (pf[idx != action.bot] == formula.bot).all() if action.size > 1 else True
-            if ok:
-                yield P, F
+    for Ps, Fs in _pf_stacks(action, formula):
+        yield from zip(Ps, Fs)

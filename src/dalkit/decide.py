@@ -20,6 +20,7 @@ it returns a countermodel or Unknown, never Valid.
 
 from __future__ import annotations
 
+import functools
 import itertools as it
 from dataclasses import dataclass, field
 
@@ -27,8 +28,7 @@ import numpy as np
 
 from . import syntax as S
 from .algebra import (BudgetExceeded, DeonticAlgebra, Interpretation,
-                      _assignment_grid, enumerate_pf_maps, evaluate,
-                      evaluate_batch)
+                      _assignment_grid, _pf_stacks, evaluate, evaluate_batch)
 from .lattice import heyting_catalog, powerset_algebra, two
 from .models import DeonticModel, Valuation, sat
 from .syntax import LogicVariant as V
@@ -217,6 +217,39 @@ def _catalog_pairs(variant, max_points):
     raise ValueError(f"{variant.value} is not a Heyting-search variant")
 
 
+_CAND_CHUNK = 1 << 20
+
+
+def _search(pairs, hit, acts, props, max_candidates, max_interps):
+    """(algebra, interpretation, candidates tried) at the first cell, in
+    countermodel_heyting's order, where ``hit(D, assign)`` holds; D stacks c
+    P/F candidates as (c, |A|) arrays, hit gives booleans broadcastable to
+    (c, interpretations).  No algebra if the pairs or max_candidates run out."""
+    if max_candidates < 0 or max_interps < 0:
+        raise ValueError("budgets must be non-negative")
+    tried = 0
+    for A, Fm in pairs:
+        grid = None
+        for Ps, Fs in _pf_stacks(A, Fm):
+            n, Ps, Fs = len(Ps), Ps[:max_candidates - tried], Fs[:max_candidates - tried]
+            if len(Ps):
+                assign, total = grid = grid or _assignment_grid(
+                    DeonticAlgebra(A, Fm, Ps, Fs), acts, props, max_interps)
+                step = max(1, _CAND_CHUNK // total)
+                for c0 in range(0, len(Ps), step):
+                    D = DeonticAlgebra(A, Fm, Ps[c0:c0 + step], Fs[c0:c0 + step])
+                    cells = np.flatnonzero(np.broadcast_to(hit(D, assign), (len(D.P), total)))
+                    if len(cells):
+                        c, r = divmod(int(cells[0]), total)
+                        h = Interpretation(act={a: int(assign[a][r]) for a in acts},
+                                           prop={p: int(assign[p][r]) for p in props})
+                        return DeonticAlgebra(A, Fm, D.P[c], D.F[c]), h, tried + c0 + c + 1
+            tried += n
+            if tried > max_candidates:
+                return None, None, tried
+    return None, None, tried
+
+
 def countermodel_heyting(phi: S.FormulaTerm, variant: V,
                          max_candidates: int = 5000,
                          max_interps: int = 65536,
@@ -224,60 +257,40 @@ def countermodel_heyting(phi: S.FormulaTerm, variant: V,
     """Search catalog algebra pairs for a falsifying interpretation.
 
     Refutation only: the result is a Countermodel carrying the algebra and
-    interpretation, or Unknown (budget exhausted or catalog exhausted).
+    interpretation, or Unknown (budget exhausted or catalog exhausted).  The
+    countermodel is the first in catalog pair order, then P-major/F-minor
+    over join-irreducible values, then interpretation grid order, and is
+    re-verified by the scalar evaluator.  A pair's candidates are evaluated
+    together, in chunks of at most ``_CAND_CHUNK`` candidate-interpretation
+    cells.  Negative budgets raise ValueError.
     """
-    acts = sorted({*S.symbols(phi).actions})
-    props = sorted({*S.symbols(phi).props})
-    tried = 0
-    for action, formula in _catalog_pairs(variant, max_points):
-        for P, F in enumerate_pf_maps(action, formula):
-            tried += 1
-            if tried > max_candidates:
-                return Unknown(f"candidate budget of {max_candidates} algebras exhausted")
-            D = DeonticAlgebra(action, formula, P, F)
-            try:
-                assign, total = _assignment_grid(D, acts, props, max_interps)
-            except BudgetExceeded as e:
-                return Unknown(str(e))
-            vals = np.broadcast_to(np.asarray(evaluate_batch(D, assign, phi)), (total,))
-            bad = np.nonzero(vals != formula.top)[0]
-            if len(bad):
-                r = int(bad[0])
-                h = Interpretation(
-                    act={a: int(np.broadcast_to(assign[a], (total,))[r]) for a in acts},
-                    prop={p: int(np.broadcast_to(assign[p], (total,))[r]) for p in props})
-                if evaluate(D, h, phi) == formula.top:
-                    raise AssertionError("countermodel failed to re-verify")
-                return Countermodel(algebra=D, interp=h)
-    return Unknown(f"no countermodel among {tried} catalog algebras")
+    acts, props = sorted(S.symbols(phi).actions), sorted(S.symbols(phi).props)
+    try:
+        D, h, tried = _search(_catalog_pairs(variant, max_points),
+                              lambda D, assign: evaluate_batch(D, assign, phi) != D.formula.top,
+                              acts, props, max_candidates, max_interps)
+    except BudgetExceeded as e:
+        return Unknown(str(e))
+    if D is None:
+        return Unknown(f"candidate budget of {max_candidates} algebras exhausted"
+                       if tried > max_candidates else f"no countermodel among {tried} catalog algebras")
+    if evaluate(D, h, phi) == D.formula.top:
+        raise AssertionError("countermodel failed to re-verify")
+    return Countermodel(algebra=D, interp=h)
 
 
 def fence_scenario_search(max_candidates: int = 200):
     """A nontrivial algebra + interpretation satisfying the four fence
     prescriptions at once; raises if none shows up within the budget."""
-    variant = V.DAL_PROP
     texts = ("obl(~isfenced)",
              "isfenced == 1 -> obl(ispaintedwhite)",
              "isfenced == 1",
              "ispaintedwhite + isfenced == isfenced")
-    formulas = [S.parse_formula(t, variant) for t in texts]
-    names = sorted({n for f in formulas for n in S.symbols(f).actions})
-    form = two()
-    tried = 0
-    for action in (two(), powerset_algebra(["t0", "t1"])):
-        for P, F in enumerate_pf_maps(action, form):
-            tried += 1
-            if tried > max_candidates:
-                raise BudgetExceeded(f"no fence witness within {max_candidates} candidates")
-            D = DeonticAlgebra(action, form, P, F)
-            assign, total = _assignment_grid(D, names, [], 1 << 16)
-            good = np.ones(total, dtype=bool)
-            for f in formulas:
-                vals = np.broadcast_to(np.asarray(evaluate_batch(D, assign, f)), (total,))
-                good &= vals == form.top
-            hit = np.nonzero(good)[0]
-            if len(hit):
-                r = int(hit[0])
-                h = Interpretation(act={a: int(assign[a][r]) for a in names})
-                return D, h
-    raise BudgetExceeded(f"no fence witness within {max_candidates} candidates")
+    conj = functools.reduce(S.And, (S.parse_formula(t, V.DAL_PROP) for t in texts))
+    names = sorted(S.symbols(conj).actions)
+    pairs = [(action, two()) for action in (two(), powerset_algebra(["t0", "t1"]))]
+    D, h, _ = _search(pairs, lambda D, assign: evaluate_batch(D, assign, conj) == D.formula.top,
+                      names, [], max_candidates, 1 << 16)
+    if D is None:
+        raise BudgetExceeded(f"no fence witness within {max_candidates} candidates")
+    return D, h

@@ -147,6 +147,14 @@ def test_countermodel_unknown_is_success_exit(capsys):
     assert capsys.readouterr().out.startswith("unknown:")
 
 
+def test_countermodel_budget(capsys):
+    theorem = "perm(a+b) <-> perm(a) & perm(b)"
+    assert main(["countermodel", "--logic", "dal_ipl", "--budget", "-1", theorem]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(["countermodel", "--logic", "dal_ipl", "--budget", "0", theorem]) == 0
+    assert capsys.readouterr().out == "unknown: candidate budget of 0 algebras exhausted\n"
+
+
 def test_countermodel_rejects_classical_logic(capsys):
     assert main(["countermodel", "--logic", "dal", "perm(a)"]) == 2
 
