@@ -388,6 +388,9 @@ def main(argv=None) -> int:
     except (S.ParseError, formats.FormatError, ConditionError, BudgetExceeded,
             ValueError, OSError) as e:
         return _error(str(e))
+    except RecursionError:
+        # the recursive term walkers overflow on deep input; a clean exit 2
+        return _error("input nested too deeply")
 
 
 if __name__ == "__main__":

@@ -13,6 +13,11 @@ NDAL variants restrict the admissible assignments:
   NDAL4  every non-empty atom permitted or forbidden
   NDAL5  NDAL3 and NDAL4
 
+The admissible assignments of a letter count and variant form one status
+grid of live/P/F bitmasks, built once and cached.  The formula is evaluated
+on chunks of its rows, in enumeration order, by the mask walker of
+``models``, so the countermodel returned is the first in that order.
+
 The Heyting variants (DAL_IPL, DAL_IAL, DAL_INT) get a refutation-only
 search over catalog algebra pairs with all valid crisp-equality P/F maps;
 it returns a countermodel or Unknown, never Valid.
@@ -30,7 +35,7 @@ from . import syntax as S
 from .algebra import (BudgetExceeded, DeonticAlgebra, Interpretation,
                       _assignment_grid, _pf_stacks, evaluate, evaluate_batch)
 from .lattice import heyting_catalog, powerset_algebra, two
-from .models import DeonticModel, Valuation, sat
+from .models import DeonticModel, Valuation, _form_vec, sat
 from .syntax import LogicVariant as V
 
 EMPTY, PERMITTED, FORBIDDEN, NEUTRAL = range(4)
@@ -75,69 +80,64 @@ class AtomAssignment:
         return DeonticModel(elems, permitted, forbidden), Valuation(vmap)
 
 
-def _region_masks(n):
-    regions = []
-    for i in range(n):
-        r = 0
-        for t in range(1 << n):
-            if t >> i & 1:
-                r |= 1 << t
-        regions.append(r)
-    return regions
-
-
-def _eval_atoms(phi, live, pmask, fmask, amasks, props):
-    def act(t):
-        if isinstance(t, S.Basic):
-            return amasks[t.name]
-        if isinstance(t, S.Zero):
-            return 0
-        if isinstance(t, S.One):
-            return live
-        if isinstance(t, S.Union):
-            return act(t.left) | act(t.right)
-        if isinstance(t, S.Inter):
-            return act(t.left) & act(t.right)
-        if isinstance(t, S.Compl):
-            return live & ~act(t.arg)
-        raise ValueError("~> has no classical model semantics")
-
-    def form(t):
-        if isinstance(t, S.Eq):
-            return act(t.left) == act(t.right)
-        if isinstance(t, S.Perm):
-            return act(t.arg) & ~pmask == 0
-        if isinstance(t, S.Forb):
-            return act(t.arg) & ~fmask == 0
-        if isinstance(t, S.Prop):
-            return props[t.name]
-        if isinstance(t, S.Or):
-            return form(t.left) or form(t.right)
-        if isinstance(t, S.And):
-            return form(t.left) and form(t.right)
-        if isinstance(t, S.Not):
-            return not form(t.arg)
-        if isinstance(t, S.Impl):
-            return not form(t.left) or form(t.right)
-        if isinstance(t, S.Iff):
-            return form(t.left) == form(t.right)
-        if isinstance(t, S.Top):
-            return True
-        if isinstance(t, S.Bot):
-            return False
-        raise TypeError(f"not a formula term: {t!r}")
-
-    return form(phi)
-
-
 _CLASSICAL = (V.DAL, V.DAL_PROP, V.NDAL1, V.NDAL2, V.NDAL3, V.NDAL4, V.NDAL5)
+_REGIONAL = (V.NDAL1, V.NDAL2, V.NDAL3, V.NDAL5)
+_GRID_ATOMS = 8         # atoms one cached status grid spans: at most 4^8 rows
+_CHUNK_ROWS = 1 << 14   # the largest evaluation chunk, in assignments
+_STATUS_BITS = np.array([[0, 1, 1, 1], [0, 1, 0, 0], [0, 0, 1, 0]])  # live/P/F per status
+
+
+def _statuses(variant, t):
+    """The statuses atom t may take under variant, in enumeration order."""
+    if t == 0 and variant in (V.NDAL3, V.NDAL5):
+        return (EMPTY,)
+    if variant in (V.NDAL4, V.NDAL5) or (t == 0 and variant is V.NDAL2):
+        return (EMPTY, PERMITTED, FORBIDDEN)
+    return (EMPTY, PERMITTED, FORBIDDEN, NEUTRAL)
+
+
+def _region_masks(n):
+    """Per basic action, the atoms (bitmask over 2^n) where it is positive."""
+    return [sum(1 << t for t in range(1 << n) if t >> i & 1) for i in range(n)]
+
+
+def _region_ok(regions, live, P, F):
+    """Rows where every region's non-empty atoms are all permitted or all forbidden."""
+    ok = np.ones(live.shape, bool)
+    for r in regions:
+        r = live & r
+        ok &= (r & ~P == 0) | (r & ~F == 0)
+    return ok
+
+
+@functools.lru_cache(maxsize=None)
+def _status_grid(n, lo, variant):
+    """(3, rows) live/P/F masks of the status tuples of atoms lo..2^n-1 in
+    it.product order, kept if their own atoms pass the region test; with
+    lo == 0 these are exactly the admissible assignments."""
+    grid, regions = np.zeros((3, 1), np.int16 if n <= 3 else np.int64), _region_masks(n)
+    for t in range(lo, 1 << n):
+        bits = (_STATUS_BITS[:, _statuses(variant, t)] << t).astype(grid.dtype)
+        grid = (grid[:, :, None] | bits[:, None, :]).reshape(3, -1)
+        if variant in _REGIONAL:   # a failing prefix fails in every extension
+            grid = grid[:, _region_ok(regions, *grid)]
+    return grid
 
 
 def decide_classical(phi: S.FormulaTerm, variant: V = V.DAL, alphabet=None,
                      max_assignments: int = 1_000_000):
-    """Valid() or the first falsifying Countermodel in enumeration order."""
+    """Valid() or the first falsifying Countermodel in enumeration order:
+    atom statuses with atom 0 most significant, then propositions (False
+    first).  The formula is evaluated on chunks of one cached status grid
+    per letter count and variant, growing geometrically up to _CHUNK_ROWS
+    assignments; the countermodel is rebuilt from the first falsifying one
+    and re-verified with ``sat``.  Over ``max_assignments`` assignments
+    (counted before admissibility) or 6+ letters raise BudgetExceeded, a
+    negative budget ValueError."""
     if variant not in _CLASSICAL:
         raise ValueError(f"{variant.value} is not decided classically")
+    if max_assignments < 0:
+        raise ValueError("budgets must be non-negative")
     sym = S.symbols(phi)
     if sym.props and not variant.allows_props:
         raise ValueError(f"propositions are not allowed under {variant.value}")
@@ -154,46 +154,43 @@ def decide_classical(phi: S.FormulaTerm, variant: V = V.DAL, alphabet=None,
         actions = sym.actions
     props = sym.props
     n, m = len(actions), len(props)
-    n_atoms = 1 << n
-    total = (4 ** n_atoms) * (1 << m)
+    total = (4 ** (1 << n)) * (1 << m)
     if total > max_assignments:
         raise BudgetExceeded(f"{total} assignments exceed the budget of {max_assignments}")
+    if n > 5:
+        raise BudgetExceeded(f"{n} letters exceed the 64-bit status masks")
+    lo = max(0, (1 << n) - _GRID_ATOMS)   # atoms left of the grid: enumerated here
+    grid = _status_grid(n, lo, V.DAL if variant is V.DAL_PROP else variant)
     regions = _region_masks(n)
-
-    def admissible(statuses, live, pmask, fmask):
-        if variant in (V.NDAL1, V.NDAL2, V.NDAL3, V.NDAL5):
-            for r in regions:
-                r &= live
-                if r & ~pmask and r & ~fmask:
-                    return False
-        if variant is V.NDAL2 and statuses[0] == NEUTRAL:
-            return False
-        if variant in (V.NDAL3, V.NDAL5) and statuses[0] != EMPTY:
-            return False
-        if variant in (V.NDAL4, V.NDAL5) and NEUTRAL in statuses:
-            return False
-        return True
-
-    for statuses in it.product(range(4), repeat=n_atoms):
-        live = pmask = fmask = 0
-        for t, s in enumerate(statuses):
-            if s != EMPTY:
-                live |= 1 << t
-            if s == PERMITTED:
-                pmask |= 1 << t
-            elif s == FORBIDDEN:
-                fmask |= 1 << t
-        if not admissible(statuses, live, pmask, fmask):
-            continue
-        amasks = {a: regions[i] & live for i, a in enumerate(actions)}
-        for bits in it.product((False, True), repeat=m):
-            pv = dict(zip(props, bits))
-            if not _eval_atoms(phi, live, pmask, fmask, amasks, pv):
-                assignment = AtomAssignment(actions, statuses, pv)
-                M, v = assignment.induced_model()
+    valuations = np.arange(1 << m)   # first proposition most significant
+    prop_env = {p: valuations >> (m - 1 - j) & 1 == 1 for j, p in enumerate(props)}
+    rows, cap = grid.shape[1], max(1, _CHUNK_ROWS >> m)
+    size = min(64, cap)
+    for head in it.product(*(_statuses(variant, t) for t in range(lo))):
+        start = 0
+        while start < rows:
+            stop = min(start + size, rows)
+            size = min(4 * size, cap)
+            chunk = grid[:, start:stop]   # a view
+            if lo:
+                chunk = chunk | (_STATUS_BITS[:, head] << np.arange(lo)).sum(axis=1, keepdims=True)
+            live, P, F = chunk[:, :, None]   # status rows x proposition valuations
+            env = {"full": live, "P": P, "F": F, "props": prop_env,
+                   "acts": {a: live & r for a, r in zip(actions, regions)}}
+            bad = ~np.broadcast_to(_form_vec(env, phi), (stop - start, 1 << m))
+            if lo and variant in _REGIONAL:
+                bad &= _region_ok(regions, live, P, F)
+            hits = np.flatnonzero(bad)
+            if len(hits):
+                k, bits = divmod(int(hits[0]), 1 << m)
+                statuses = tuple(_STATUS_BITS.T.tolist().index([int(x) >> t & 1 for x in chunk[:, k]])
+                                 for t in range(1 << n))
+                pv = {p: bool(bits >> (m - 1 - j) & 1) for j, p in enumerate(props)}
+                M, v = AtomAssignment(actions, statuses, pv).induced_model()
                 if sat(M, v, phi, prop_val=pv or None):
                     raise AssertionError("countermodel failed to re-verify")
                 return Countermodel(model=M, valuation=v, prop_val=pv)
+            start = stop
     return Valid()
 
 

@@ -75,7 +75,8 @@ def random_formula(rng, depth, variant=dk.LogicVariant.DAL, acts=("a", "b"),
 
     def act(d):
         if d == 0:
-            return rng.choice([dk.Basic(rng.choice(acts)), dk.Zero(), dk.One()])
+            letter = [dk.Basic(rng.choice(acts))] if acts else []
+            return rng.choice(letter + [dk.Zero(), dk.One()])
         k = rng.randrange(8)
         if k < 2:
             return dk.Union(act(d - 1), act(d - 1))

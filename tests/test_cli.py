@@ -132,6 +132,19 @@ def test_decide_respects_variant(capsys):
 def test_decide_budget(capsys):
     assert main(["decide", "--budget", "10", "perm(a*b) -> perm(a)"]) == 2
     assert "budget" in capsys.readouterr().err
+    assert main(["decide", "--budget", "-1", "perm(a)"]) == 2
+    assert capsys.readouterr().err == "error: budgets must be non-negative\n"
+
+
+@pytest.mark.parametrize("command", ["parse", "decide"])
+@pytest.mark.parametrize("text", ["!" * 3000 + "perm(a)",
+                                  "(" * 300 + "perm(a)" + ")" * 300,
+                                  "perm(" + " + ".join(["a"] * 3000) + ")"],
+                         ids=["3000-bangs", "300-parens", "3000-terms"])
+def test_deep_input_is_clean_error(command, text, capsys):
+    assert main([command, text]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: input nested too deeply\n" and "Traceback" not in err
 
 
 def test_countermodel_refutes(capsys):

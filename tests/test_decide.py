@@ -57,6 +57,12 @@ def test_decide_oracle_agreement(rng):
         phi = random_formula(rng, rng.randint(1, 3))
         res = decide_classical(phi, V.DAL)
         assert isinstance(res, Valid) == dk.taut_oracle(phi), dk.print_formula(phi)
+    props = 0
+    while props < 40:
+        phi = random_formula(rng, rng.randint(1, 3), V.DAL_PROP, props=("p",))
+        props += bool(S.symbols(phi).props)
+        res = decide_classical(phi, V.DAL_PROP)
+        assert isinstance(res, Valid) == dk.taut_oracle(phi), dk.print_formula(phi)
 
 
 def test_props_handled():
@@ -341,3 +347,186 @@ def test_heyting_frontier():
     assert fence_scenario_search(2)[0].P.tolist() == [1, 0]
     with pytest.raises(dk.BudgetExceeded, match="no fence witness within 1 candidates"):
         fence_scenario_search(1)
+
+
+# ---------------------------------------------------------------------------
+# The status-grid classical decider against the per-assignment loop it replaced
+# ---------------------------------------------------------------------------
+
+CLASSICAL = (V.DAL, V.DAL_PROP, V.NDAL1, V.NDAL2, V.NDAL3, V.NDAL4, V.NDAL5)
+
+
+def reference_eval(phi, live, pmask, fmask, amasks, props):
+    """Truth of phi at one status assignment, on Python-int bitmasks."""
+    def act(t):
+        if isinstance(t, S.Basic):
+            return amasks[t.name]
+        if isinstance(t, S.Zero):
+            return 0
+        if isinstance(t, S.One):
+            return live
+        if isinstance(t, S.Union):
+            return act(t.left) | act(t.right)
+        if isinstance(t, S.Inter):
+            return act(t.left) & act(t.right)
+        assert isinstance(t, S.Compl), t
+        return live & ~act(t.arg)
+
+    def form(t):
+        if isinstance(t, S.Eq):
+            return act(t.left) == act(t.right)
+        if isinstance(t, S.Perm):
+            return act(t.arg) & ~pmask == 0
+        if isinstance(t, S.Forb):
+            return act(t.arg) & ~fmask == 0
+        if isinstance(t, S.Prop):
+            return props[t.name]
+        if isinstance(t, S.Or):
+            return form(t.left) or form(t.right)
+        if isinstance(t, S.And):
+            return form(t.left) and form(t.right)
+        if isinstance(t, S.Not):
+            return not form(t.arg)
+        if isinstance(t, S.Impl):
+            return not form(t.left) or form(t.right)
+        if isinstance(t, S.Iff):
+            return form(t.left) == form(t.right)
+        assert isinstance(t, (S.Top, S.Bot)), t
+        return isinstance(t, S.Top)
+
+    return form(phi)
+
+
+def reference_decide_classical(phi, variant=V.DAL, alphabet=None,
+                               max_assignments=1_000_000):
+    """One status tuple at a time in it.product order, filtered by the
+    variant's admissibility test, then every proposition valuation."""
+    sym = S.symbols(phi)
+    actions = tuple(alphabet) if alphabet and variant.value.startswith("ndal") else sym.actions
+    props = sym.props
+    n, m = len(actions), len(props)
+    total = (4 ** (1 << n)) * (1 << m)
+    if total > max_assignments:
+        raise dk.BudgetExceeded(f"{total} assignments exceed the budget of {max_assignments}")
+    regions = [sum(1 << t for t in range(1 << n) if t >> i & 1) for i in range(n)]
+
+    def admissible(statuses, live, pmask, fmask):
+        if variant in (V.NDAL1, V.NDAL2, V.NDAL3, V.NDAL5):
+            for r in regions:
+                r &= live
+                if r & ~pmask and r & ~fmask:
+                    return False
+        if variant is V.NDAL2 and statuses[0] == DC.NEUTRAL:
+            return False
+        if variant in (V.NDAL3, V.NDAL5) and statuses[0] != DC.EMPTY:
+            return False
+        if variant in (V.NDAL4, V.NDAL5) and DC.NEUTRAL in statuses:
+            return False
+        return True
+
+    for statuses in it.product(range(4), repeat=1 << n):
+        live = sum(1 << t for t, s in enumerate(statuses) if s != DC.EMPTY)
+        pmask = sum(1 << t for t, s in enumerate(statuses) if s == DC.PERMITTED)
+        fmask = sum(1 << t for t, s in enumerate(statuses) if s == DC.FORBIDDEN)
+        if not admissible(statuses, live, pmask, fmask):
+            continue
+        amasks = {a: regions[i] & live for i, a in enumerate(actions)}
+        for bits in it.product((False, True), repeat=m):
+            pv = dict(zip(props, bits))
+            if not reference_eval(phi, live, pmask, fmask, amasks, pv):
+                M, v = DC.AtomAssignment(actions, statuses, pv).induced_model()
+                return Countermodel(model=M, valuation=v, prop_val=pv)
+    return Valid()
+
+
+def _outcome(decide, *args, **kw):
+    try:
+        return decide(*args, **kw)
+    except dk.BudgetExceeded as e:
+        return "budget", str(e)
+
+
+def _agree_classical(monkeypatch, phi, variant, alphabet=None, grid_atoms=(), **kw):
+    """The grid decider gives the reference's whole verdict, first
+    countermodel included, at its own chunk size, at one row per chunk, at
+    one chunk for everything, and with cached grids over only `grid_atoms`
+    atoms (the rest enumerated status tuple by status tuple)."""
+    want = _outcome(reference_decide_classical, phi, variant, alphabet, **kw)
+    settings = [{}, {"_CHUNK_ROWS": 1}, {"_CHUNK_ROWS": 1 << 30}]
+    settings += [{"_GRID_ATOMS": g} for g in grid_atoms]
+    for setting in settings:
+        with monkeypatch.context() as mp:
+            for name, value in setting.items():
+                mp.setattr(DC, name, value)
+            got = _outcome(decide_classical, phi, variant, alphabet, **kw)
+        assert got == want, (dk.print_formula(phi), variant, alphabet, kw, setting)
+    return want
+
+
+def test_classical_grid_matches_reference_on_random_formulas(monkeypatch):
+    rng = random.Random(20261018)
+    seen = set()
+    for variant in CLASSICAL:
+        for k in range(18):
+            letters = ("a", "b")[:k % 3]
+            props = ("p", "q")[:1 + k % 2] if variant is V.DAL_PROP else ()
+            phi = random_formula(rng, rng.randint(1, 3), variant, acts=letters, props=props)
+            # DAL ignores the alphabet; NDAL1 takes its letters from the
+            # formula when it has none
+            alphabet = None if variant is V.NDAL1 and k % 4 == 0 else letters or ("a",)
+            res = _agree_classical(monkeypatch, phi, variant, alphabet, grid_atoms=(1,))
+            seen.add(type(res))
+    assert seen == {Valid, Countermodel}
+
+
+def test_classical_grid_matches_reference_on_fixed_formulas(monkeypatch):
+    terms = ["0", "1", "~0", "~1"]
+    texts = ["true", "false", "!true | false"]
+    texts += [f"{f}({t})" for f in ("perm", "forb") for t in terms]
+    texts += [f"{s} == {t}" for s in terms for t in terms]
+    texts += ["perm(a * ~0) | forb(~1 + a)", "a * 0 == ~1"]
+    # the formulas that separate the NDAL variants
+    texts += ["forb(a) | perm(a)", "forb(a + b) | perm(a + b)", "a + b == 1",
+              "perm(~a * ~b) | forb(~a * ~b)", "perm(a * ~b) | forb(a * ~b)"]
+    two_props = ["p -> q", "(p <-> !q) | forb(a)", "!p & q -> perm(a * b)"]
+    for variant in CLASSICAL:
+        for text in texts + (two_props if variant is V.DAL_PROP else []):
+            phi = dk.parse_formula(text, variant, ("a", "b"))
+            _agree_classical(monkeypatch, phi, variant, ("a", "b"), grid_atoms=(0, 1))
+
+
+def test_classical_grid_matches_reference_on_three_letters(monkeypatch):
+    rng = random.Random(3)
+    letters = ("a", "b", "c")
+    tautology = "perm(a + b + c) <-> perm(a) & perm(b) & perm(c)"
+    for variant in CLASSICAL:
+        for _ in range(4):
+            phi = random_formula(rng, 2, variant, acts=letters)
+            _agree_classical(monkeypatch, phi, variant, letters)
+        if variant.value.startswith("ndal"):
+            phi = dk.parse_formula(tautology, variant, letters)
+            assert _agree_classical(monkeypatch, phi, variant, letters) == Valid()
+
+
+def test_classical_grid_beyond_the_cached_atoms(monkeypatch):
+    """Four letters (16 atoms): the first 8 atoms are enumerated one status
+    tuple at a time; early countermodels come out as the reference's."""
+    letters = ("a", "b", "c", "d")
+    for variant, text in ((V.DAL, "perm(a * b * c * d)"), (V.DAL, "forb(a) | a * b == c"),
+                          (V.NDAL1, "perm(a * b * c * d)"), (V.NDAL4, "forb(a) | perm(b)"),
+                          (V.NDAL5, "forb(a) | perm(b)"), (V.DAL_PROP, "p -> perm(a * b * c * d)")):
+        phi = dk.parse_formula(text, variant, letters)
+        res = _agree_classical(monkeypatch, phi, variant, letters, max_assignments=4**17)
+        assert isinstance(res, Countermodel)
+    phi = dk.parse_formula("perm(a * b * c * d * e * f)")
+    with pytest.raises(dk.BudgetExceeded, match="6 letters"):
+        decide_classical(phi, V.DAL, max_assignments=4**64)
+
+
+def test_classical_grid_matches_reference_on_budgets(monkeypatch):
+    for variant, text, total in ((V.DAL, "perm(a)", 16), (V.DAL_PROP, "p -> perm(a)", 32),
+                                 (V.NDAL3, "a + b == 1", 256)):
+        phi = dk.parse_formula(text, variant, ("a", "b"))
+        for budget in (total - 1, total):
+            res = _agree_classical(monkeypatch, phi, variant, ("a", "b"), max_assignments=budget)
+            assert isinstance(res, tuple) == (budget < total), (text, budget)
