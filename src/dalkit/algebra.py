@@ -22,7 +22,11 @@ on the diagonal, bot off it); a graded E may be supplied explicitly.
 Terms are evaluated under an Interpretation mapping basic actions to action
 elements and propositions to formula elements.  Schema metavariables (AVar /
 FVar) are resolved through the same maps, so quantifying an interpretation
-over metavariable names checks an axiom schema semantically.
+over metavariable names checks an axiom schema semantically.  Evaluation is
+the one table walker of ``syntax`` (``compile_term`` + ``run``) with the
+lattice-table op set below: ``evaluate_batch`` runs it over arrays of
+interpretations (and stacked P/F candidates), ``evaluate`` over a single
+one after checking that it covers every symbol.
 """
 
 from __future__ import annotations
@@ -169,122 +173,52 @@ def build(action: HeytingAlgebra, formula: HeytingAlgebra, P, F, E=None) -> Deon
 # Evaluation
 # ---------------------------------------------------------------------------
 
+# Table semantics: values are lattice elements, ints or arrays of them; P and
+# F may carry a leading candidate axis, so atleast_1d keeps a letter-free
+# argument on the interpretation axis instead of that one.
+_TABLE_OPS = {
+    S.Basic: lambda env, name: env["acts"][name],
+    S.Zero: lambda env, _: env["D"].action.bot,
+    S.One: lambda env, _: env["D"].action.top,
+    S.Union: lambda env, _, a, b: env["D"].action.vjoin(a, b),
+    S.Inter: lambda env, _, a, b: env["D"].action.vmeet(a, b),
+    S.Compl: lambda env, _, a: env["D"].action.vcompl(a),
+    S.AImpl: lambda env, _, a, b: env["D"].action.vimpl(a, b),
+    S.AVar: lambda env, name: env["acts"][name],
+    S.Eq: lambda env, _, a, b: env["D"].vE(a, b),
+    S.Perm: lambda env, _, a: env["D"].P[..., np.atleast_1d(a)],
+    S.Forb: lambda env, _, a: env["D"].F[..., np.atleast_1d(a)],
+    S.Prop: lambda env, name: env["props"][name],
+    S.Or: lambda env, _, a, b: env["D"].formula.vjoin(a, b),
+    S.And: lambda env, _, a, b: env["D"].formula.vmeet(a, b),
+    S.Not: lambda env, _, a: env["D"].formula.vcompl(a),
+    S.Impl: lambda env, _, a, b: env["D"].formula.vimpl(a, b),
+    S.Iff: lambda env, _, a, b: env["D"].formula.vmeet(env["D"].formula.vimpl(a, b),
+                                                       env["D"].formula.vimpl(b, a)),
+    S.Bot: lambda env, _: env["D"].formula.bot,
+    S.Top: lambda env, _: env["D"].formula.top,
+    S.FVar: lambda env, name: env["props"][name],
+}
+
+
+def _run_table(D: DeonticAlgebra, acts: dict, props: dict, table):
+    return S.run(table, _TABLE_OPS, {"D": D, "acts": acts, "props": props})
+
+
 def evaluate(D: DeonticAlgebra, h: Interpretation, t: S.Term) -> int:
     """Value of a (desugared) term: an action element or a formula element."""
-    if isinstance(t, S.ActionTerm):
-        return _eval_act(D, h, t)
-    return _eval_form(D, h, t)
-
-
-def _lookup(mapping, name, what):
-    try:
-        return mapping[name]
-    except KeyError:
-        raise KeyError(f"interpretation does not cover the {what} {name!r}") from None
-
-
-def _eval_act(D, h, t):
-    A = D.action
-    if isinstance(t, (S.Basic, S.AVar)):
-        return _lookup(h.act, t.name, "basic action")
-    if isinstance(t, S.Zero):
-        return A.bot
-    if isinstance(t, S.One):
-        return A.top
-    if isinstance(t, S.Union):
-        return A.join(_eval_act(D, h, t.left), _eval_act(D, h, t.right))
-    if isinstance(t, S.Inter):
-        return A.meet(_eval_act(D, h, t.left), _eval_act(D, h, t.right))
-    if isinstance(t, S.Compl):
-        return A.compl(_eval_act(D, h, t.arg))
-    if isinstance(t, S.AImpl):
-        return A.impl(_eval_act(D, h, t.left), _eval_act(D, h, t.right))
-    raise TypeError(f"not an action term: {t!r}")
-
-
-def _eval_form(D, h, t):
-    Fm = D.formula
-    if isinstance(t, (S.Prop, S.FVar)):
-        return _lookup(h.prop, t.name, "proposition")
-    if isinstance(t, S.Bot):
-        return Fm.bot
-    if isinstance(t, S.Top):
-        return Fm.top
-    if isinstance(t, S.Eq):
-        return D.E(_eval_act(D, h, t.left), _eval_act(D, h, t.right))
-    if isinstance(t, S.Perm):
-        return int(D.P[_eval_act(D, h, t.arg)])
-    if isinstance(t, S.Forb):
-        return int(D.F[_eval_act(D, h, t.arg)])
-    if isinstance(t, S.Or):
-        return Fm.join(_eval_form(D, h, t.left), _eval_form(D, h, t.right))
-    if isinstance(t, S.And):
-        return Fm.meet(_eval_form(D, h, t.left), _eval_form(D, h, t.right))
-    if isinstance(t, S.Not):
-        return Fm.compl(_eval_form(D, h, t.arg))
-    if isinstance(t, S.Impl):
-        return Fm.impl(_eval_form(D, h, t.left), _eval_form(D, h, t.right))
-    if isinstance(t, S.Iff):
-        return Fm.meet(_eval_form(D, h, S.Impl(t.left, t.right)),
-                       _eval_form(D, h, S.Impl(t.right, t.left)))
-    raise TypeError(f"not a formula term: {t!r}")
+    table = S.compile_term(t)
+    for cls, name, _, _ in table:
+        if cls in (S.Basic, S.AVar) and name not in h.act:
+            raise KeyError(f"interpretation does not cover the basic action {name!r}")
+        if cls in (S.Prop, S.FVar) and name not in h.prop:
+            raise KeyError(f"interpretation does not cover the proposition {name!r}")
+    return int(np.ravel(_run_table(D, h.act, h.prop, table))[0])
 
 
 def evaluate_batch(D: DeonticAlgebra, assign: dict, t: S.Term):
     """Evaluate over numpy arrays of elements (one array per symbol name)."""
-    if isinstance(t, S.ActionTerm):
-        return _eval_act_batch(D, assign, t)
-    return _eval_form_batch(D, assign, t)
-
-
-def _eval_act_batch(D, assign, t):
-    A = D.action
-    if isinstance(t, (S.Basic, S.AVar)):
-        return assign[t.name]
-    if isinstance(t, S.Zero):
-        return A.bot
-    if isinstance(t, S.One):
-        return A.top
-    if isinstance(t, S.Union):
-        return A.vjoin(_eval_act_batch(D, assign, t.left), _eval_act_batch(D, assign, t.right))
-    if isinstance(t, S.Inter):
-        return A.vmeet(_eval_act_batch(D, assign, t.left), _eval_act_batch(D, assign, t.right))
-    if isinstance(t, S.Compl):
-        return A.vimpl(_eval_act_batch(D, assign, t.arg), A.bot)
-    if isinstance(t, S.AImpl):
-        return A.vimpl(_eval_act_batch(D, assign, t.left), _eval_act_batch(D, assign, t.right))
-    raise TypeError(f"not an action term: {t!r}")
-
-
-def _eval_form_batch(D, assign, t):
-    Fm = D.formula
-    if isinstance(t, (S.Prop, S.FVar)):
-        return assign[t.name]
-    if isinstance(t, S.Bot):
-        return Fm.bot
-    if isinstance(t, S.Top):
-        return Fm.top
-    if isinstance(t, S.Eq):
-        return D.vE(_eval_act_batch(D, assign, t.left), _eval_act_batch(D, assign, t.right))
-    # P and F may carry a leading candidate axis; atleast_1d keeps a
-    # letter-free argument on the interpretation axis instead of that one
-    if isinstance(t, S.Perm):
-        return D.P[..., np.atleast_1d(_eval_act_batch(D, assign, t.arg))]
-    if isinstance(t, S.Forb):
-        return D.F[..., np.atleast_1d(_eval_act_batch(D, assign, t.arg))]
-    if isinstance(t, S.Or):
-        return Fm.vjoin(_eval_form_batch(D, assign, t.left), _eval_form_batch(D, assign, t.right))
-    if isinstance(t, S.And):
-        return Fm.vmeet(_eval_form_batch(D, assign, t.left), _eval_form_batch(D, assign, t.right))
-    if isinstance(t, S.Not):
-        return Fm.vimpl(_eval_form_batch(D, assign, t.arg), Fm.bot)
-    if isinstance(t, S.Impl):
-        return Fm.vimpl(_eval_form_batch(D, assign, t.left), _eval_form_batch(D, assign, t.right))
-    if isinstance(t, S.Iff):
-        a = _eval_form_batch(D, assign, t.left)
-        b = _eval_form_batch(D, assign, t.right)
-        return Fm.vmeet(Fm.vimpl(a, b), Fm.vimpl(b, a))
-    raise TypeError(f"not a formula term: {t!r}")
+    return _run_table(D, assign, assign, S.compile_term(t))
 
 
 def satisfies(D: DeonticAlgebra, h: Interpretation, lhs: S.Term, rhs: S.Term) -> bool:
@@ -292,17 +226,6 @@ def satisfies(D: DeonticAlgebra, h: Interpretation, lhs: S.Term, rhs: S.Term) ->
     if isinstance(lhs, S.ActionTerm) != isinstance(rhs, S.ActionTerm):
         raise ValueError("equation sides must be of the same sort")
     return evaluate(D, h, lhs) == evaluate(D, h, rhs)
-
-
-def _term_names(*terms):
-    """(action symbol names, formula symbol names), metavariables included."""
-    acts, props = set(), set()
-    for t in terms:
-        sym = S.symbols(t)
-        mv = S.metavariables(t)
-        acts.update(sym.actions, mv[0])
-        props.update(sym.props, mv[1])
-    return sorted(acts), sorted(props)
 
 
 def _assignment_grid(D, act_names, prop_names, max_interps):
@@ -323,18 +246,23 @@ def _assignment_grid(D, act_names, prop_names, max_interps):
     return assign, total
 
 
+def _both_sides(D, lhs, rhs, max_interps):
+    """(value of lhs, value of rhs, count) over the grid of every interpretation
+    of their symbols and metavariables."""
+    tables = S.compile_term(lhs), S.compile_term(rhs)
+    both = tables[0] + tables[1]
+    assign, total = _assignment_grid(D, S.table_names(both, S.Basic, S.AVar),
+                                     S.table_names(both, S.Prop, S.FVar), max_interps)
+    return *(_run_table(D, assign, assign, table) for table in tables), total
+
+
 def valid_in(D: DeonticAlgebra, lhs: S.Term, rhs: S.Term,
              max_interps: int = 4_000_000) -> bool:
     """lhs = rhs under every interpretation of the occurring symbols."""
     if isinstance(lhs, S.ActionTerm) != isinstance(rhs, S.ActionTerm):
         raise ValueError("equation sides must be of the same sort")
-    act_names, prop_names = _term_names(lhs, rhs)
-    assign, total = _assignment_grid(D, act_names, prop_names, max_interps)
-    if total == 0:
-        return True
-    va = evaluate_batch(D, assign, lhs)
-    vb = evaluate_batch(D, assign, rhs)
-    return bool(np.all(va == vb))
+    va, vb, total = _both_sides(D, lhs, rhs, max_interps)
+    return total == 0 or bool(np.all(va == vb))
 
 
 def valid_formula_in(D: DeonticAlgebra, t: S.FormulaTerm,
@@ -346,10 +274,7 @@ def valid_formula_in(D: DeonticAlgebra, t: S.FormulaTerm,
 def act_eq_iff_form_eq(D: DeonticAlgebra, a: S.ActionTerm, b: S.ActionTerm,
                        max_interps: int = 4_000_000) -> bool:
     """h(a) == h(b) iff E(h(a), h(b)) = top, for every interpretation h."""
-    act_names, prop_names = _term_names(a, b)
-    assign, total = _assignment_grid(D, act_names, prop_names, max_interps)
-    va = evaluate_batch(D, assign, a)
-    vb = evaluate_batch(D, assign, b)
+    va, vb, total = _both_sides(D, a, b, max_interps)
     same = np.broadcast_to(np.asarray(va) == np.asarray(vb), (total,))
     etop = np.broadcast_to(D.vE(va, vb) == D.formula.top, (total,))
     return bool(np.all(same == etop))

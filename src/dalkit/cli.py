@@ -389,7 +389,7 @@ def main(argv=None) -> int:
             ValueError, OSError) as e:
         return _error(str(e))
     except RecursionError:
-        # the recursive term walkers overflow on deep input; a clean exit 2
+        # proof matching still recurses and can overflow on deep input; a clean exit 2
         return _error("input nested too deeply")
 
 

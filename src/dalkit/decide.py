@@ -14,9 +14,10 @@ NDAL variants restrict the admissible assignments:
   NDAL5  NDAL3 and NDAL4
 
 The admissible assignments of a letter count and variant form one status
-grid of live/P/F bitmasks, built once and cached.  The formula is evaluated
-on chunks of its rows, in enumeration order, by the mask walker of
-``models``, so the countermodel returned is the first in that order.
+grid of live/P/F bitmasks, built once and cached.  The formula is compiled
+once and evaluated on chunks of its rows, in enumeration order, with the
+mask op set of ``models``, so the countermodel returned is the first in
+that order.
 
 The Heyting variants (DAL_IPL, DAL_IAL, DAL_INT) get a refutation-only
 search over catalog algebra pairs with all valid crisp-equality P/F maps;
@@ -33,9 +34,9 @@ import numpy as np
 
 from . import syntax as S
 from .algebra import (BudgetExceeded, DeonticAlgebra, Interpretation,
-                      _assignment_grid, _pf_stacks, evaluate, evaluate_batch)
+                      _assignment_grid, _pf_stacks, _run_table, evaluate)
 from .lattice import heyting_catalog, powerset_algebra, two
-from .models import DeonticModel, Valuation, _form_vec, sat
+from .models import _MASK_OPS, DeonticModel, Valuation, _model_env
 from .syntax import LogicVariant as V
 
 EMPTY, PERMITTED, FORBIDDEN, NEUTRAL = range(4)
@@ -131,28 +132,28 @@ def decide_classical(phi: S.FormulaTerm, variant: V = V.DAL, alphabet=None,
     first).  The formula is evaluated on chunks of one cached status grid
     per letter count and variant, growing geometrically up to _CHUNK_ROWS
     assignments; the countermodel is rebuilt from the first falsifying one
-    and re-verified with ``sat``.  Over ``max_assignments`` assignments
+    and re-verified at that point.  Over ``max_assignments`` assignments
     (counted before admissibility) or 6+ letters raise BudgetExceeded, a
     negative budget ValueError."""
     if variant not in _CLASSICAL:
         raise ValueError(f"{variant.value} is not decided classically")
     if max_assignments < 0:
         raise ValueError("budgets must be non-negative")
-    sym = S.symbols(phi)
-    if sym.props and not variant.allows_props:
+    table = S.compile_term(phi)
+    letters, props = S.table_names(table, S.Basic), S.table_names(table, S.Prop)
+    if props and not variant.allows_props:
         raise ValueError(f"propositions are not allowed under {variant.value}")
     if variant.requires_alphabet:
         if not alphabet:
             raise ValueError(f"{variant.value} needs a declared finite alphabet")
-        missing = set(sym.actions) - set(alphabet)
+        missing = set(letters) - set(alphabet)
         if missing:
             raise ValueError(f"actions {sorted(missing)} outside the declared alphabet")
         actions = tuple(alphabet)
     elif variant is V.NDAL1 and alphabet:
         actions = tuple(alphabet)
     else:
-        actions = sym.actions
-    props = sym.props
+        actions = letters
     n, m = len(actions), len(props)
     total = (4 ** (1 << n)) * (1 << m)
     if total > max_assignments:
@@ -177,7 +178,7 @@ def decide_classical(phi: S.FormulaTerm, variant: V = V.DAL, alphabet=None,
             live, P, F = chunk[:, :, None]   # status rows x proposition valuations
             env = {"full": live, "P": P, "F": F, "props": prop_env,
                    "acts": {a: live & r for a, r in zip(actions, regions)}}
-            bad = ~np.broadcast_to(_form_vec(env, phi), (stop - start, 1 << m))
+            bad = ~np.broadcast_to(S.run(table, _MASK_OPS, env), (stop - start, 1 << m))
             if lo and variant in _REGIONAL:
                 bad &= _region_ok(regions, live, P, F)
             hits = np.flatnonzero(bad)
@@ -187,7 +188,7 @@ def decide_classical(phi: S.FormulaTerm, variant: V = V.DAL, alphabet=None,
                                  for t in range(1 << n))
                 pv = {p: bool(bits >> (m - 1 - j) & 1) for j, p in enumerate(props)}
                 M, v = AtomAssignment(actions, statuses, pv).induced_model()
-                if sat(M, v, phi, prop_val=pv or None):
+                if S.run(table, _MASK_OPS, _model_env(M, v, table, pv or None)):
                     raise AssertionError("countermodel failed to re-verify")
                 return Countermodel(model=M, valuation=v, prop_val=pv)
             start = stop
@@ -261,10 +262,11 @@ def countermodel_heyting(phi: S.FormulaTerm, variant: V,
     together, in chunks of at most ``_CAND_CHUNK`` candidate-interpretation
     cells.  Negative budgets raise ValueError.
     """
-    acts, props = sorted(S.symbols(phi).actions), sorted(S.symbols(phi).props)
+    table = S.compile_term(phi)
+    acts, props = S.table_names(table, S.Basic), S.table_names(table, S.Prop)
     try:
         D, h, tried = _search(_catalog_pairs(variant, max_points),
-                              lambda D, assign: evaluate_batch(D, assign, phi) != D.formula.top,
+                              lambda D, assign: _run_table(D, assign, assign, table) != D.formula.top,
                               acts, props, max_candidates, max_interps)
     except BudgetExceeded as e:
         return Unknown(str(e))
@@ -284,10 +286,10 @@ def fence_scenario_search(max_candidates: int = 200):
              "isfenced == 1",
              "ispaintedwhite + isfenced == isfenced")
     conj = functools.reduce(S.And, (S.parse_formula(t, V.DAL_PROP) for t in texts))
-    names = sorted(S.symbols(conj).actions)
+    table = S.compile_term(conj)
     pairs = [(action, two()) for action in (two(), powerset_algebra(["t0", "t1"]))]
-    D, h, _ = _search(pairs, lambda D, assign: evaluate_batch(D, assign, conj) == D.formula.top,
-                      names, [], max_candidates, 1 << 16)
+    D, h, _ = _search(pairs, lambda D, assign: _run_table(D, assign, assign, table) == D.formula.top,
+                      S.table_names(table, S.Basic), [], max_candidates, 1 << 16)
     if D is None:
         raise BudgetExceeded(f"no fence witness within {max_candidates} candidates")
     return D, h

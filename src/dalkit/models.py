@@ -5,14 +5,20 @@ valuation sends each basic action to a subset of E and extends uniquely to
 all action terms over union/intersection/complement (no ~> here).  perm(a)
 holds when the extension lands inside P, forb(a) inside F.
 
-Subsets are bitmasks internally; ``taut_oracle`` enumerates every model with
-at most ``max_elems`` elements (all disjoint P/F pairs, all valuations over
-the occurring symbols) as numpy index arithmetic, so the exhaustive search
-over a few tens of thousands of models stays cheap.
+Subsets are bitmasks internally.  Terms are evaluated by the one table
+walker of ``syntax`` (``compile_term`` + ``run``) with the mask op set
+below, on Python ints for ``sat`` and ``extend`` and on int arrays of many
+models at once for ``taut_oracle`` and the classical decider.
+``taut_oracle`` enumerates every model with at most ``max_elems`` elements
+(all disjoint P/F pairs, all valuations over the occurring symbols) as one
+cached grid of element states per size and action count, with the
+proposition valuations on their own broadcast axis, so the exhaustive
+search over a few tens of thousands of models stays cheap.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,10 +54,6 @@ class Valuation:
         object.__setattr__(self, "map", {k: frozenset(v) for k, v in dict(map).items()})
 
 
-def _bit_index(M: DeonticModel) -> dict:
-    return {e: i for i, e in enumerate(M.elements)}
-
-
 def _mask(idx: dict, subset) -> int:
     m = 0
     for e in subset:
@@ -62,75 +64,71 @@ def _mask(idx: dict, subset) -> int:
     return m
 
 
-def _extend_mask(idx, full, vmasks, t):
-    if isinstance(t, S.Basic):
-        try:
-            return vmasks[t.name]
-        except KeyError:
-            raise ValueError(f"valuation does not cover basic action {t.name!r}") from None
-    if isinstance(t, S.Zero):
-        return 0
-    if isinstance(t, S.One):
-        return full
-    if isinstance(t, S.Union):
-        return _extend_mask(idx, full, vmasks, t.left) | _extend_mask(idx, full, vmasks, t.right)
-    if isinstance(t, S.Inter):
-        return _extend_mask(idx, full, vmasks, t.left) & _extend_mask(idx, full, vmasks, t.right)
-    if isinstance(t, S.Compl):
-        return full & ~_extend_mask(idx, full, vmasks, t.arg)
-    if isinstance(t, S.AImpl):
-        raise ValueError("~> has no model semantics")
-    raise TypeError(f"not an action term: {t!r}")
+def _no_model(env, name, *args):
+    raise ValueError("~> has no model semantics")
+
+
+def _schema_only(env, name):
+    raise TypeError(f"metavariable {name!r} has no model semantics")
+
+
+# Mask semantics: action values are bitmasks over the elements (Python ints
+# of any width, or int arrays of many models at once), formula values bools
+# or bool arrays.  Negation is ^ True, which stays boolean on Python bools
+# where ~ would not.
+_MASK_OPS = {
+    S.Basic: lambda env, name: env["acts"][name],
+    S.Zero: lambda env, _: 0,
+    S.One: lambda env, _: env["full"],
+    S.Union: lambda env, _, a, b: a | b,
+    S.Inter: lambda env, _, a, b: a & b,
+    S.Compl: lambda env, _, a: env["full"] & ~a,
+    S.AImpl: _no_model,
+    S.AVar: _schema_only,
+    S.Eq: lambda env, _, a, b: a == b,
+    S.Perm: lambda env, _, a: a & ~env["P"] == 0,
+    S.Forb: lambda env, _, a: a & ~env["F"] == 0,
+    S.Prop: lambda env, name: env["props"][name],
+    S.Or: lambda env, _, a, b: a | b,
+    S.And: lambda env, _, a, b: a & b,
+    S.Not: lambda env, _, a: a ^ True,
+    S.Impl: lambda env, _, a, b: (a ^ True) | b,
+    S.Iff: lambda env, _, a, b: a == b,
+    S.Top: lambda env, _: True,
+    S.Bot: lambda env, _: False,
+    S.FVar: _schema_only,
+}
+
+
+def _model_env(M: DeonticModel, v: Valuation, table, prop_val=None) -> dict:
+    """Mask environment of M, v and prop_val; checks up front that they
+    cover every basic action and proposition of the table."""
+    idx = {e: i for i, e in enumerate(M.elements)}
+    acts, props = {name: _mask(idx, s) for name, s in v.map.items()}, {}
+    for cls, name, _, _ in table:
+        if cls is S.Basic and name not in acts:
+            raise ValueError(f"valuation does not cover basic action {name!r}")
+        if cls is S.Prop:
+            if prop_val is None:
+                raise ValueError("propositions need a prop valuation")
+            if name not in prop_val:
+                raise ValueError(f"prop valuation does not cover {name!r}")
+            props[name] = bool(prop_val[name])
+    return {"full": (1 << len(idx)) - 1, "P": _mask(idx, M.permitted),
+            "F": _mask(idx, M.forbidden), "acts": acts, "props": props}
 
 
 def extend(M: DeonticModel, v: Valuation, alpha: S.ActionTerm) -> frozenset:
     """The unique extension of v to the action term alpha, as a subset of E."""
-    idx = _bit_index(M)
-    full = (1 << len(M.elements)) - 1
-    vmasks = {name: _mask(idx, s) for name, s in v.map.items()}
-    m = _extend_mask(idx, full, vmasks, alpha)
-    return frozenset(e for e, i in idx.items() if m >> i & 1)
+    table = S.compile_term(alpha)
+    m = S.run(table, _MASK_OPS, _model_env(M, v, table))
+    return frozenset(e for i, e in enumerate(M.elements) if m >> i & 1)
 
 
 def sat(M: DeonticModel, v: Valuation, phi: S.FormulaTerm, prop_val=None) -> bool:
     """M, v |= phi.  prop_val maps proposition names to booleans."""
-    idx = _bit_index(M)
-    full = (1 << len(M.elements)) - 1
-    vmasks = {name: _mask(idx, s) for name, s in v.map.items()}
-    pmask = _mask(idx, M.permitted)
-    fmask = _mask(idx, M.forbidden)
-
-    def form(t):
-        if isinstance(t, S.Eq):
-            return _extend_mask(idx, full, vmasks, t.left) == _extend_mask(idx, full, vmasks, t.right)
-        if isinstance(t, S.Perm):
-            return _extend_mask(idx, full, vmasks, t.arg) & ~pmask == 0
-        if isinstance(t, S.Forb):
-            return _extend_mask(idx, full, vmasks, t.arg) & ~fmask == 0
-        if isinstance(t, S.Prop):
-            if prop_val is None:
-                raise ValueError("propositions need a prop valuation")
-            try:
-                return bool(prop_val[t.name])
-            except KeyError:
-                raise ValueError(f"prop valuation does not cover {t.name!r}") from None
-        if isinstance(t, S.Or):
-            return form(t.left) or form(t.right)
-        if isinstance(t, S.And):
-            return form(t.left) and form(t.right)
-        if isinstance(t, S.Not):
-            return not form(t.arg)
-        if isinstance(t, S.Impl):
-            return (not form(t.left)) or form(t.right)
-        if isinstance(t, S.Iff):
-            return form(t.left) == form(t.right)
-        if isinstance(t, S.Top):
-            return True
-        if isinstance(t, S.Bot):
-            return False
-        raise TypeError(f"not a formula term: {t!r}")
-
-    return form(phi)
+    table = S.compile_term(phi)
+    return bool(S.run(table, _MASK_OPS, _model_env(M, v, table, prop_val)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,94 +142,28 @@ def sat(M: DeonticModel, v: Valuation, phi: S.FormulaTerm, prop_val=None) -> boo
 _ORACLE_ROW_CAP = 4_000_000
 
 
-def _oracle_env(n, acts, props):
-    k, m = len(acts), len(props)
+@functools.lru_cache(maxsize=None)
+def _oracle_grid(n, k):
+    """(3 + k, rows) int8 masks P, F, then one per action, of every state code
+    of n elements over k actions, element 0 least significant."""
     per = 3 << k
-    total = per**n << m
-    if total > _ORACLE_ROW_CAP:
-        raise BudgetExceeded(f"{total} candidate models exceed the oracle budget")
-    rows = np.arange(total, dtype=np.int64)
-    env = {"full": (1 << n) - 1, "rows": total, "n": n}
-    states = [(rows >> m) // per**i % per for i in range(n)]
-    pmask = np.zeros(total, dtype=np.int64)
-    fmask = np.zeros(total, dtype=np.int64)
-    amasks = {a: np.zeros(total, dtype=np.int64) for a in acts}
-    for i, s in enumerate(states):
-        pf = s % 3
-        pmask |= (pf == 1).astype(np.int64) << i
-        fmask |= (pf == 2).astype(np.int64) << i
-        mem = s // 3
-        for j, a in enumerate(acts):
-            amasks[a] |= (mem >> j & 1) << i
-    env["P"], env["F"], env["acts"] = pmask, fmask, amasks
-    env["props"] = {p: (rows >> j & 1).astype(bool) for j, p in enumerate(props)}
-    return env
-
-
-def _act_vec(env, t):
-    if isinstance(t, S.Basic):
-        return env["acts"][t.name]
-    if isinstance(t, S.Zero):
-        return 0
-    if isinstance(t, S.One):
-        return env["full"]
-    if isinstance(t, S.Union):
-        return _act_vec(env, t.left) | _act_vec(env, t.right)
-    if isinstance(t, S.Inter):
-        return _act_vec(env, t.left) & _act_vec(env, t.right)
-    if isinstance(t, S.Compl):
-        return env["full"] & ~_act_vec(env, t.arg)
-    if isinstance(t, S.AImpl):
-        raise ValueError("~> has no model semantics")
-    raise TypeError(f"not an action term: {t!r}")
-
-
-def _form_vec(env, t):
-    if isinstance(t, S.Eq):
-        # np.equal, not ==: two constant sides give plain ints, and Python's
-        # bool would then break ~ in the Not case
-        return np.equal(_act_vec(env, t.left), _act_vec(env, t.right))
-    if isinstance(t, S.Perm):
-        return _act_vec(env, t.arg) & ~env["P"] == 0
-    if isinstance(t, S.Forb):
-        return _act_vec(env, t.arg) & ~env["F"] == 0
-    if isinstance(t, S.Prop):
-        return env["props"][t.name]
-    if isinstance(t, S.Or):
-        return _form_vec(env, t.left) | _form_vec(env, t.right)
-    if isinstance(t, S.And):
-        return _form_vec(env, t.left) & _form_vec(env, t.right)
-    if isinstance(t, S.Not):
-        return ~_form_vec(env, t.arg)
-    if isinstance(t, S.Impl):
-        return ~_form_vec(env, t.left) | _form_vec(env, t.right)
-    if isinstance(t, S.Iff):
-        return _form_vec(env, t.left) == _form_vec(env, t.right)
-    if isinstance(t, S.Top):
-        return np.True_  # numpy scalar: ~ stays boolean, unlike Python's ~True
-    if isinstance(t, S.Bot):
-        return np.False_
-    raise TypeError(f"not a formula term: {t!r}")
+    states = np.arange(per**n)[:, None] // per ** np.arange(n) % per   # (rows, n)
+    pf, mem = states % 3, states // 3
+    bits = np.stack([pf == 1, pf == 2] + [mem >> j & 1 == 1 for j in range(k)])
+    return (bits << np.arange(n)).sum(axis=2).astype(np.int8)
 
 
 def _decode_witness(n, acts, props, row):
-    k, m = len(acts), len(props)
-    per = 3 << k
+    code, bits = divmod(row, 1 << len(props))
+    P, F, *masks = (int(x) for x in _oracle_grid(n, len(acts))[:, code])
     elems = tuple(f"e{i + 1}" for i in range(n))
-    permitted, forbidden = set(), set()
-    vmap = {a: set() for a in acts}
-    for i in range(n):
-        s = (row >> m) // per**i % per
-        pf, mem = s % 3, s // 3
-        if pf == 1:
-            permitted.add(elems[i])
-        elif pf == 2:
-            forbidden.add(elems[i])
-        for j, a in enumerate(acts):
-            if mem >> j & 1:
-                vmap[a].add(elems[i])
-    prop_val = {p: bool(row >> j & 1) for j, p in enumerate(props)}
-    return DeonticModel(elems, permitted, forbidden), Valuation(vmap), prop_val
+
+    def subset(mask):
+        return {e for i, e in enumerate(elems) if mask >> i & 1}
+
+    prop_val = {p: bool(bits >> j & 1) for j, p in enumerate(props)}
+    return (DeonticModel(elems, subset(P), subset(F)),
+            Valuation({a: subset(m) for a, m in zip(acts, masks)}), prop_val)
 
 
 def taut_oracle(phi: S.FormulaTerm, max_elems: int = 4, return_witness: bool = False):
@@ -242,18 +174,25 @@ def taut_oracle(phi: S.FormulaTerm, max_elems: int = 4, return_witness: bool = F
     (DeonticModel, Valuation, prop_val) for the first failure in enumeration
     order (model size, then coded state).
     """
-    sym = S.symbols(phi)
-    acts, props = sym.actions, sym.props
+    table = S.compile_term(phi)
+    acts, props = S.table_names(table, S.Basic), S.table_names(table, S.Prop)
     if len(acts) > 2:
         raise BudgetExceeded("oracle supports at most 2 basic actions")
     if max_elems > 4:
         raise BudgetExceeded("oracle supports at most 4 elements")
+    k, m = len(acts), len(props)
     for n in range(max_elems + 1):
-        env = _oracle_env(n, acts, props)
-        res = np.broadcast_to(np.asarray(_form_vec(env, phi)), (env["rows"],))
+        total = (3 << k) ** n << m
+        if total > _ORACLE_ROW_CAP:
+            raise BudgetExceeded(f"{total} candidate models exceed the oracle budget")
+        P, F, *masks = _oracle_grid(n, k)[:, :, None]   # state codes x proposition valuations
+        cols = np.arange(1 << m)   # first proposition least significant
+        env = {"full": (1 << n) - 1, "P": P, "F": F, "acts": dict(zip(acts, masks)),
+               "props": {p: cols >> j & 1 == 1 for j, p in enumerate(props)}}
+        res = np.broadcast_to(S.run(table, _MASK_OPS, env), (len(P), 1 << m))
         if not res.all():
             if not return_witness:
                 return False
-            row = int(np.nonzero(~res)[0][0])
+            row = int(np.flatnonzero(~res)[0])
             return False, _decode_witness(n, acts, props, row)
     return (True, None) if return_witness else True

@@ -298,14 +298,6 @@ def match_schema(phi: S.FormulaTerm, schema: AxiomSchema):
     return True, binds
 
 
-def _is_axiom(phi, table):
-    for schema in table:
-        ok, binds = match_schema(phi, schema)
-        if ok:
-            return schema.id, binds
-    return None, None
-
-
 def check_proof(p: Proof, variant: V | None = None) -> ProofResult:
     """Validate every line; the first bad line wins."""
     variant = variant or p.variant
@@ -324,11 +316,7 @@ def check_proof(p: Proof, variant: V | None = None) -> ProofResult:
                 return ProofResult(False, k, "mp must cite earlier lines")
             minor = lines[just.i - 1][0]
             major = lines[just.j - 1][0]
-            if variant.primitive_impl:
-                expected = S.Impl(minor, phi)
-            else:
-                expected = S.Or(S.Not(minor), phi)
-            if major != expected:
+            if major != S._expand_impl(variant, minor, phi):
                 return ProofResult(
                     False, k,
                     f"line {just.j} is not (line {just.i}) -> (line {k})")

@@ -251,6 +251,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # Parser (recursive descent; one token of backtracking for '==' atoms)
 # ---------------------------------------------------------------------------
 
+def _expand_impl(variant: LogicVariant, left: FormulaTerm, right: FormulaTerm) -> FormulaTerm:
+    """'->' as the variant reads it: primitive, or sugar for '!left | right'."""
+    return Impl(left, right) if variant.primitive_impl else Or(Not(left), right)
+
+
+def _fold_right(parts: list, make):
+    t = parts.pop()
+    while parts:
+        t = make(parts.pop(), t)
+    return t
+
+
 class _Parser:
     def __init__(self, text: str, variant: LogicVariant, alphabet=None):
         self.toks = _tokenize(text)
@@ -276,17 +288,28 @@ class _Parser:
         found = "end of input" if kind == "eof" else repr(tok)
         raise ParseError(f"expected {what}, found {found}", pos)
 
+    def prefixed(self, op: str, atom, make):
+        """atom() under a chain of prefix ops, counted in a loop."""
+        n = 0
+        while self.peek()[1] == op:
+            self.next()
+            n += 1
+        t = atom()
+        for _ in range(n):
+            t = make(t)
+        return t
+
     # -- actions ------------------------------------------------------------
 
     def action(self) -> ActionTerm:
-        left = self.action_union()
-        if self.peek()[1] == "~>":
+        parts = [self.action_union()]
+        while self.peek()[1] == "~>":
             kind, tok, pos = self.next()
             if not self.variant.allows_aimpl:
                 raise ParseError(
                     f"action implication '~>' is not admitted under {self.variant.value}", pos)
-            return AImpl(left, self.action())
-        return left
+            parts.append(self.action_union())
+        return _fold_right(parts, AImpl)
 
     def action_union(self) -> ActionTerm:
         t = self.action_inter()
@@ -296,17 +319,11 @@ class _Parser:
         return t
 
     def action_inter(self) -> ActionTerm:
-        t = self.action_compl()
+        t = self.prefixed("~", self.action_atom, Compl)
         while self.peek()[1] == "*":
             self.next()
-            t = Inter(t, self.action_compl())
+            t = Inter(t, self.prefixed("~", self.action_atom, Compl))
         return t
-
-    def action_compl(self) -> ActionTerm:
-        if self.peek()[1] == "~":
-            self.next()
-            return Compl(self.action_compl())
-        return self.action_atom()
 
     def action_atom(self) -> ActionTerm:
         kind, tok, pos = self.peek()
@@ -334,15 +351,16 @@ class _Parser:
         t = self.formula_impl()
         while self.peek()[1] == "<->":
             self.next()
-            t = Iff(t, self.formula_impl())
+            rhs = self.formula_impl()
+            t = And(_expand_impl(self.variant, t, rhs), _expand_impl(self.variant, rhs, t))
         return t
 
     def formula_impl(self) -> FormulaTerm:
-        left = self.formula_or()
-        if self.peek()[1] == "->":
+        parts = [self.formula_or()]
+        while self.peek()[1] == "->":
             self.next()
-            return Impl(left, self.formula_impl())
-        return left
+            parts.append(self.formula_or())
+        return _fold_right(parts, lambda left, right: _expand_impl(self.variant, left, right))
 
     def formula_or(self) -> FormulaTerm:
         t = self.formula_and()
@@ -352,17 +370,11 @@ class _Parser:
         return t
 
     def formula_and(self) -> FormulaTerm:
-        t = self.formula_not()
+        t = self.prefixed("!", self.formula_atom, Not)
         while self.peek()[1] == "&":
             self.next()
-            t = And(t, self.formula_not())
+            t = And(t, self.prefixed("!", self.formula_atom, Not))
         return t
-
-    def formula_not(self) -> FormulaTerm:
-        if self.peek()[1] == "!":
-            self.next()
-            return Not(self.formula_not())
-        return self.formula_atom()
 
     def formula_atom(self) -> FormulaTerm:
         kind, tok, pos = self.peek()
@@ -411,26 +423,121 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {tok!r}", pos)
 
 
-def parse_action(text: str, variant: LogicVariant = LogicVariant.DAL,
-                 alphabet=None) -> ActionTerm:
+def _parse(text, variant, alphabet, start):
     p = _Parser(text, variant, alphabet)
-    t = p.action()
+    try:
+        t = start(p)
+    except RecursionError:   # only parentheses recurse
+        raise ParseError("input nested too deeply") from None
     p.done()
     return t
 
 
+def parse_action(text: str, variant: LogicVariant = LogicVariant.DAL,
+                 alphabet=None) -> ActionTerm:
+    return _parse(text, variant, alphabet, _Parser.action)
+
+
 def parse_formula(text: str, variant: LogicVariant = LogicVariant.DAL,
                   alphabet=None) -> FormulaTerm:
-    """Parse and desugar a formula under the given variant's gating rules."""
-    p = _Parser(text, variant, alphabet)
-    t = p.formula()
-    p.done()
-    return desugar(t, variant)
+    """Parse a formula under the given variant's gating rules; '<->' and,
+    unless primitive, '->' are expanded as they are read."""
+    return _parse(text, variant, alphabet, _Parser.formula)
+
+
+# ---------------------------------------------------------------------------
+# Term tables: one non-recursive walker for every evaluator
+# ---------------------------------------------------------------------------
+
+_TERMS = frozenset(ActionTerm.__subclasses__() + FormulaTerm.__subclasses__())
+_NAMED = frozenset((Basic, AVar, Prop, FVar))
+_CLOSE = object()   # stack marker: build the row of the node below it
+
+
+def compile_term(t: Term) -> tuple:
+    """The post-order table of t's distinct subterms, built without recursion.
+
+    Row i is (class, name, child rows, dead rows): the name of a symbol or
+    metavariable leaf (else None), the rows of its children, all before i,
+    and the children whose last use is row i.  Subterms are hash-consed on
+    that shallow key (Filliatre & Conchon 2006), so equal subterms share a
+    row and are evaluated once.  The root is the last row.
+    """
+    rows, index, row_of, last, todo = [], {}, {}, {}, [t]   # row_of: id(node) -> row
+    while todo:
+        node = todo.pop()
+        if node is _CLOSE:   # all children have rows now; a term's fields are its children
+            node = todo.pop()
+            key = (type(node), None, tuple([row_of[id(k)] for k in vars(node).values()]))
+        else:
+            if id(node) in row_of:
+                continue
+            cls = type(node)
+            if cls not in _TERMS:
+                raise TypeError(f"not a term: {cls.__name__}")
+            if cls in _NAMED:
+                key = (cls, node.name, ())
+            elif vars(node):
+                todo += (node, _CLOSE, *reversed(vars(node).values()))
+                continue
+            else:
+                key = (cls, None, ())
+        row = index.setdefault(key, len(rows))
+        if row == len(rows):
+            rows.append(key)
+            for k in key[2]:
+                last[k] = row
+        row_of[id(node)] = row
+    return tuple([(*key, tuple({k for k in key[2] if last[k] == row}))
+                  for row, key in enumerate(rows)])
+
+
+def run(table: tuple, ops: dict, env):
+    """Evaluate a compile_term table with one flat loop and return the root's
+    value.  Row i's value is ops[class](env, name, *child values); a value is
+    dropped after its last use, so only a frontier of them is alive."""
+    vals = []
+    value_of = vals.__getitem__
+    for cls, name, kids, dead in table:
+        vals.append(ops[cls](env, name, *map(value_of, kids)))
+        for k in dead:
+            vals[k] = None
+    return vals[-1]
+
+
+def table_names(table: tuple, *classes) -> tuple[str, ...]:
+    """The sorted names of the table's leaves of the given classes."""
+    return tuple(sorted({name for cls, name, _, _ in table if cls in classes}))
 
 
 # ---------------------------------------------------------------------------
 # Desugaring
 # ---------------------------------------------------------------------------
+
+def _rebuild(cls):
+    return lambda variant, name, *kids: cls(*kids) if name is None else cls(name)
+
+
+def _check_aimpl(variant, _, left, right):
+    if not variant.allows_aimpl:
+        raise ParseError(f"action implication '~>' is not admitted under {variant.value}")
+    return AImpl(left, right)
+
+
+def _check_prop(variant, name):
+    if not variant.allows_props:
+        raise ParseError(f"proposition symbol {name!r} is not admitted under {variant.value}")
+    return Prop(name)
+
+
+_DESUGAR_OPS = {cls: _rebuild(cls) for cls in _TERMS} | {
+    AImpl: _check_aimpl,
+    Prop: _check_prop,
+    Impl: lambda variant, _, left, right: _expand_impl(variant, left, right),
+    Iff: lambda variant, _, left, right: And(_expand_impl(variant, left, right),
+                                             _expand_impl(variant, right, left)),
+}
+
 
 def desugar(t: Term, variant: LogicVariant) -> Term:
     """Expand sugar ('<->' always; '->' unless primitive) and check gating.
@@ -438,165 +545,72 @@ def desugar(t: Term, variant: LogicVariant) -> Term:
     Idempotent.  Raises ParseError when the term uses a connective or symbol
     class the variant does not admit.
     """
-    if isinstance(t, ActionTerm):
-        return _desugar_action(t, variant)
-    return _desugar_formula(t, variant)
-
-
-def _desugar_action(t: ActionTerm, variant: LogicVariant) -> ActionTerm:
-    if isinstance(t, (Basic, Zero, One, AVar)):
-        return t
-    if isinstance(t, Compl):
-        return Compl(_desugar_action(t.arg, variant))
-    if isinstance(t, AImpl):
-        if not variant.allows_aimpl:
-            raise ParseError(f"action implication '~>' is not admitted under {variant.value}")
-        return AImpl(_desugar_action(t.left, variant), _desugar_action(t.right, variant))
-    if isinstance(t, (Union, Inter)):
-        return type(t)(_desugar_action(t.left, variant), _desugar_action(t.right, variant))
-    raise TypeError(f"not an action term: {t!r}")
-
-
-def _desugar_formula(t: FormulaTerm, variant: LogicVariant) -> FormulaTerm:
-    if isinstance(t, (Bot, Top, FVar)):
-        return t
-    if isinstance(t, Prop):
-        if not variant.allows_props:
-            raise ParseError(f"proposition symbol {t.name!r} is not admitted under {variant.value}")
-        return t
-    if isinstance(t, Eq):
-        return Eq(_desugar_action(t.left, variant), _desugar_action(t.right, variant))
-    if isinstance(t, (Perm, Forb)):
-        return type(t)(_desugar_action(t.arg, variant))
-    if isinstance(t, Not):
-        return Not(_desugar_formula(t.arg, variant))
-    if isinstance(t, (Or, And)):
-        return type(t)(_desugar_formula(t.left, variant), _desugar_formula(t.right, variant))
-    if isinstance(t, Impl):
-        left = _desugar_formula(t.left, variant)
-        right = _desugar_formula(t.right, variant)
-        if variant.primitive_impl:
-            return Impl(left, right)
-        return Or(Not(left), right)
-    if isinstance(t, Iff):
-        fwd = _desugar_formula(Impl(t.left, t.right), variant)
-        bwd = _desugar_formula(Impl(t.right, t.left), variant)
-        return And(fwd, bwd)
-    raise TypeError(f"not a formula term: {t!r}")
+    return run(compile_term(t), _DESUGAR_OPS, variant)
 
 
 # ---------------------------------------------------------------------------
 # Printer
 # ---------------------------------------------------------------------------
 
-_ACT_LEVEL = {AImpl: 1, Union: 2, Inter: 3, Compl: 4}
-_FORM_LEVEL = {Iff: 1, Impl: 2, Or: 3, And: 4, Not: 5}
-
-
-def _print_act(t: ActionTerm, level: int) -> str:
-    if isinstance(t, Basic):
-        return t.name
-    if isinstance(t, AVar):
-        return t.name
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, One):
-        return "1"
-    if isinstance(t, Compl):
-        return "~" + _print_act(t.arg, 4)
-    if isinstance(t, AImpl):
-        own = 1
-        s = f"{_print_act(t.left, own + 1)} ~> {_print_act(t.right, own)}"
-    elif isinstance(t, Union):
-        own = 2
-        s = f"{_print_act(t.left, own)} + {_print_act(t.right, own + 1)}"
-    elif isinstance(t, Inter):
-        own = 3
-        s = f"{_print_act(t.left, own)} * {_print_act(t.right, own + 1)}"
-    else:
-        raise TypeError(f"not an action term: {t!r}")
-    return f"({s})" if own < level else s
-
-
-def print_action(t: ActionTerm) -> str:
-    return _print_act(t, 0)
-
-
-def _print_form(t: FormulaTerm, level: int) -> str:
-    if isinstance(t, Prop):
-        return t.name
-    if isinstance(t, FVar):
-        return t.name
-    if isinstance(t, Top):
-        return "true"
-    if isinstance(t, Bot):
-        return "false"
-    if isinstance(t, Perm):
-        return f"perm({_print_act(t.arg, 0)})"
-    if isinstance(t, Forb):
-        return f"forb({_print_act(t.arg, 0)})"
-    if isinstance(t, Eq):
-        s = f"{_print_act(t.left, 0)} == {_print_act(t.right, 0)}"
-        # an equality atom is not self-delimiting; parenthesize except at top
-        return f"({s})" if level > 0 else s
-    if isinstance(t, Not):
-        return "!" + _print_form(t.arg, 5)
-    if isinstance(t, Iff):
-        own = 1
-        s = f"{_print_form(t.left, own)} <-> {_print_form(t.right, own + 1)}"
-    elif isinstance(t, Impl):
-        own = 2
-        s = f"{_print_form(t.left, own + 1)} -> {_print_form(t.right, own)}"
-    elif isinstance(t, Or):
-        own = 3
-        s = f"{_print_form(t.left, own)} | {_print_form(t.right, own + 1)}"
-    elif isinstance(t, And):
-        own = 4
-        s = f"{_print_form(t.left, own)} & {_print_form(t.right, own + 1)}"
-    else:
-        raise TypeError(f"not a formula term: {t!r}")
-    return f"({s})" if own < level else s
-
-
-def print_formula(t: FormulaTerm) -> str:
-    return _print_form(t, 0)
+# class: (own precedence, pieces).  A piece is text, None for the leaf's
+# name, or (k, level): child k, parenthesized if its own precedence is below
+# level.  An equality atom is not self-delimiting, so its precedence 0
+# parenthesizes it everywhere but at the top.
+_ATOM = 6
+_PRINT = {
+    Basic: (_ATOM, (None,)), AVar: (_ATOM, (None,)),
+    Prop: (_ATOM, (None,)), FVar: (_ATOM, (None,)),
+    Zero: (_ATOM, ("0",)), One: (_ATOM, ("1",)),
+    Top: (_ATOM, ("true",)), Bot: (_ATOM, ("false",)),
+    AImpl: (1, ((0, 2), " ~> ", (1, 1))),
+    Union: (2, ((0, 2), " + ", (1, 3))),
+    Inter: (3, ((0, 3), " * ", (1, 4))),
+    Compl: (4, ("~", (0, 4))),
+    Perm: (_ATOM, ("perm(", (0, 0), ")")),
+    Forb: (_ATOM, ("forb(", (0, 0), ")")),
+    Eq: (0, ((0, 0), " == ", (1, 0))),
+    Iff: (1, ((0, 1), " <-> ", (1, 2))),
+    Impl: (2, ((0, 3), " -> ", (1, 2))),
+    Or: (3, ((0, 3), " | ", (1, 4))),
+    And: (4, ((0, 4), " & ", (1, 5))),
+    Not: (5, ("!", (0, 5))),
+}
 
 
 def print_term(t: Term) -> str:
-    return print_action(t) if isinstance(t, ActionTerm) else print_formula(t)
+    table = compile_term(t)
+    out, todo = [], [(len(table) - 1, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        cls, name, kids, _ = table[item[0]]
+        own, pieces = _PRINT[cls]
+        parts = [name if p is None else p if isinstance(p, str) else (kids[p[0]], p[1])
+                 for p in pieces]
+        if own < item[1]:
+            parts = ["(", *parts, ")"]
+        todo.extend(reversed(parts))
+    return "".join(out)
+
+
+print_action = print_formula = print_term
 
 
 # ---------------------------------------------------------------------------
 # Symbol collection and substitution instances
 # ---------------------------------------------------------------------------
 
-def _walk(t: Term):
-    yield t
-    for f in fields(t):
-        v = getattr(t, f.name)
-        if isinstance(v, (ActionTerm, FormulaTerm)):
-            yield from _walk(v)
-
-
 def symbols(t: Term) -> SymbolSet:
-    acts, props = set(), set()
-    for node in _walk(t):
-        if isinstance(node, Basic):
-            acts.add(node.name)
-        elif isinstance(node, Prop):
-            props.add(node.name)
-    return SymbolSet(tuple(sorted(acts)), tuple(sorted(props)))
+    table = compile_term(t)
+    return SymbolSet(table_names(table, Basic), table_names(table, Prop))
 
 
 def metavariables(t: Term) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """(action metavars, formula metavars) occurring in a schema pattern."""
-    avars, fvars = set(), set()
-    for node in _walk(t):
-        if isinstance(node, AVar):
-            avars.add(node.name)
-        elif isinstance(node, FVar):
-            fvars.add(node.name)
-    return tuple(sorted(avars)), tuple(sorted(fvars))
+    table = compile_term(t)
+    return table_names(table, AVar), table_names(table, FVar)
 
 
 def is_substitution_instance(psi: Term, phi: Term, alpha: ActionTerm,

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import dalkit as dk
+import dalkit.syntax as S
+from dalkit.algebra import _assignment_grid
 from conftest import random_bb_algebra, random_flavored_algebra, random_pf
 
 
@@ -194,3 +196,86 @@ def test_evaluate_batch_matches_scalar(rng):
     for i in range(n * n):
         h = dk.Interpretation(act={"a": int(grid_a.ravel()[i]), "b": int(grid_b.ravel()[i])})
         assert batch[i] == dk.evaluate(D, h, t)
+
+
+def reference_evaluate(D, h, t):
+    """The recursive scalar evaluator the table walker replaced."""
+    A, Fm = D.action, D.formula
+
+    def act(t):
+        if isinstance(t, (dk.Basic, dk.AVar)):
+            return h.act[t.name]
+        if isinstance(t, dk.Zero):
+            return A.bot
+        if isinstance(t, dk.One):
+            return A.top
+        if isinstance(t, dk.Union):
+            return A.join(act(t.left), act(t.right))
+        if isinstance(t, dk.Inter):
+            return A.meet(act(t.left), act(t.right))
+        if isinstance(t, dk.Compl):
+            return A.compl(act(t.arg))
+        assert isinstance(t, dk.AImpl), t
+        return A.impl(act(t.left), act(t.right))
+
+    def form(t):
+        if isinstance(t, (dk.Prop, dk.FVar)):
+            return h.prop[t.name]
+        if isinstance(t, dk.Bot):
+            return Fm.bot
+        if isinstance(t, dk.Top):
+            return Fm.top
+        if isinstance(t, dk.Eq):
+            return D.E(act(t.left), act(t.right))
+        if isinstance(t, dk.Perm):
+            return int(D.P[act(t.arg)])
+        if isinstance(t, dk.Forb):
+            return int(D.F[act(t.arg)])
+        if isinstance(t, dk.Or):
+            return Fm.join(form(t.left), form(t.right))
+        if isinstance(t, dk.And):
+            return Fm.meet(form(t.left), form(t.right))
+        if isinstance(t, dk.Not):
+            return Fm.compl(form(t.arg))
+        if isinstance(t, dk.Impl):
+            return Fm.impl(form(t.left), form(t.right))
+        assert isinstance(t, dk.Iff), t
+        return Fm.meet(form(dk.Impl(t.left, t.right)), form(dk.Impl(t.right, t.left)))
+
+    return act(t) if isinstance(t, S.ActionTerm) else form(t)
+
+
+def random_term(rng, depth, sort):
+    """Undesugared random term with '~>', primitive '->', '<->', a
+    proposition and both kinds of metavariable."""
+    if sort == "act":
+        if depth == 0:
+            return rng.choice([dk.Basic("a"), dk.Basic("b"), dk.AVar("α"), dk.Zero(), dk.One()])
+        cls = rng.choice([dk.Union, dk.Inter, dk.AImpl, dk.Compl])
+    else:
+        if depth == 0:
+            return rng.choice([dk.Prop("p"), dk.FVar("φ"), dk.Top(), dk.Bot(),
+                               dk.Perm(random_term(rng, 1, "act")),
+                               dk.Forb(random_term(rng, 1, "act")),
+                               dk.Eq(random_term(rng, 1, "act"), random_term(rng, 1, "act"))])
+        cls = rng.choice([dk.Or, dk.And, dk.Impl, dk.Iff, dk.Not])
+    if cls in (dk.Compl, dk.Not):
+        return cls(random_term(rng, depth - 1, sort))
+    return cls(random_term(rng, depth - 1, sort), random_term(rng, depth - 1, sort))
+
+
+def test_evaluate_and_batch_match_recursive_reference(rng):
+    acts, props = ["a", "b", "α"], ["p", "φ"]
+    for flavor in ("BB", "BH", "HB", "HH"):
+        for _ in range(6):
+            D = random_flavored_algebra(rng, flavor)
+            assign, total = _assignment_grid(D, acts, props, 1 << 20)
+            rows = rng.sample(range(total), min(total, 40))
+            for sort in ("act", "form", "form"):
+                t = random_term(rng, rng.randint(0, 3), sort)
+                batch = np.broadcast_to(dk.evaluate_batch(D, assign, t), (total,))
+                for r in rows:
+                    h = dk.Interpretation(act={a: int(assign[a][r]) for a in acts},
+                                          prop={p: int(assign[p][r]) for p in props})
+                    want = reference_evaluate(D, h, t)
+                    assert dk.evaluate(D, h, t) == want == batch[r], (flavor, t)

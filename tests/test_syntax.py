@@ -113,6 +113,17 @@ def test_substitution_instance():
     assert not dk.is_substitution_instance(dk.Perm(b), dk.Perm(a), a, dk.Basic("c"))
 
 
+def test_printer_output():
+    cases = [("!(a == b) & (a == 0 | perm(~(a + b) * c))", V.DAL,
+              "!(a == b) & ((a == 0) | perm(~(a + b) * c))"),
+             ("(p -> q) -> !p <-> (a ~> b ~> c) * d == 1", V.DAL_INT,
+              "(((p -> q) -> !p) -> ((a ~> b ~> c) * d == 1)) & "
+              "(((a ~> b ~> c) * d == 1) -> (p -> q) -> !p)"),
+             ("obl(a) | forb(0) & true | !false", V.DAL, "forb(~a) | forb(0) & true | !false")]
+    for text, variant, want in cases:
+        assert dk.print_formula(dk.parse_formula(text, variant)) == want
+
+
 # -- printer round trips ------------------------------------------------------
 
 _acts = st.deferred(lambda: st.one_of(
