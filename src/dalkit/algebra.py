@@ -205,9 +205,23 @@ def _run_table(D: DeonticAlgebra, acts: dict, props: dict, table):
     return S.run(table, _TABLE_OPS, {"D": D, "acts": acts, "props": props})
 
 
+_last_compiled = (object(), None)
+
+
+def _compiled(t: S.Term):
+    """compile_term(t), remembered for the last term compiled here (by
+    identity, holding a reference to it): a caller evaluating one term many
+    times compiles it once."""
+    global _last_compiled
+    last = _last_compiled
+    if last[0] is not t:
+        last = _last_compiled = (t, S.compile_term(t))
+    return last[1]
+
+
 def evaluate(D: DeonticAlgebra, h: Interpretation, t: S.Term) -> int:
     """Value of a (desugared) term: an action element or a formula element."""
-    table = S.compile_term(t)
+    table = _compiled(t)
     for cls, name, _, _ in table:
         if cls in (S.Basic, S.AVar) and name not in h.act:
             raise KeyError(f"interpretation does not cover the basic action {name!r}")
@@ -218,7 +232,7 @@ def evaluate(D: DeonticAlgebra, h: Interpretation, t: S.Term) -> int:
 
 def evaluate_batch(D: DeonticAlgebra, assign: dict, t: S.Term):
     """Evaluate over numpy arrays of elements (one array per symbol name)."""
-    return _run_table(D, assign, assign, S.compile_term(t))
+    return _run_table(D, assign, assign, _compiled(t))
 
 
 def satisfies(D: DeonticAlgebra, h: Interpretation, lhs: S.Term, rhs: S.Term) -> bool:
@@ -402,28 +416,40 @@ def extend_by_irreducibles(action: HeytingAlgebra, formula: HeytingAlgebra,
     return out
 
 
+def _pf_steps(action: HeytingAlgebra, formula: HeytingAlgebra):
+    """(antitone maps, P maps per block, F maps per block) of _pf_stacks."""
+    total = formula.size ** len(action.join_irreducibles())
+    fstep = max(1, min(total, _COND_CHUNK // action.size))
+    return total, max(1, _COND_CHUNK // (fstep * action.size)), fstep
+
+
+def _pf_one_block(action: HeytingAlgebra, formula: HeytingAlgebra) -> bool:
+    """Whether _pf_stacks covers the pair's whole P x F product in one block."""
+    total, pstep, _ = _pf_steps(action, formula)
+    return pstep >= total
+
+
 def _pf_stacks(action: HeytingAlgebra, formula: HeytingAlgebra):
-    """The valid (P, F) pairs as non-empty (c, |A|) stacks in enumerate_pf_maps
-    order; condition 3 is one broadcast per block of at most ``_COND_CHUNK``
-    cells, the F maps blocked too (against one P map each) if they fill one."""
+    """The valid (P, F) pairs in enumerate_pf_maps order, as non-empty blocks
+    (Ps, Fs, pi, fi): the pairs are (Ps[pi[k]], Fs[fi[k]]).  Condition 3 is one
+    broadcast per block of at most ``_COND_CHUNK`` cells, the F maps blocked
+    too (against one P map each) if they fill one."""
     ji = action.join_irreducibles()
-    n, total = action.size, formula.size ** len(ji)
-    rest = np.arange(n) != action.bot
+    total, pstep, fstep = _pf_steps(action, formula)
+    rest = np.arange(action.size) != action.bot
 
     def maps(lo, hi):  # antitone maps lo..hi-1 in itertools.product order
         codes = np.arange(lo, min(hi, total))[:, None] // formula.size ** np.arange(len(ji))[::-1]
         return extend_by_irreducibles(action, formula, ji, codes % formula.size)
 
-    fstep = max(1, min(total, _COND_CHUNK // n))
-    pstep = max(1, _COND_CHUNK // (fstep * n))
     for p0 in range(0, total, pstep):
         Ps = maps(p0, p0 + pstep)
         for f0 in range(0, total, fstep):
-            Fs = maps(f0, f0 + fstep)
+            Fs = Ps if pstep >= total else maps(f0, f0 + fstep)   # one block: the same maps
             ok = (formula.vmeet(Ps[:, None, rest], Fs[None, :, rest]) == formula.bot).all(axis=2)
             pi, fi = np.nonzero(ok)
             if len(pi):
-                yield Ps[pi], Fs[fi]
+                yield Ps, Fs, pi, fi
 
 
 def enumerate_pf_maps(action: HeytingAlgebra, formula: HeytingAlgebra):
@@ -433,5 +459,5 @@ def enumerate_pf_maps(action: HeytingAlgebra, formula: HeytingAlgebra):
     algebra's join-irreducibles, P-major, and filtered by condition 3 (with
     crisp E, conditions 4-6 hold automatically and 1-2 hold by construction).
     """
-    for Ps, Fs in _pf_stacks(action, formula):
-        yield from zip(Ps, Fs)
+    for Ps, Fs, pi, fi in _pf_stacks(action, formula):
+        yield from zip(Ps[pi], Fs[fi])

@@ -21,7 +21,12 @@ that order.
 
 The Heyting variants (DAL_IPL, DAL_IAL, DAL_INT) get a refutation-only
 search over catalog algebra pairs with all valid crisp-equality P/F maps;
-it returns a countermodel or Unknown, never Valid.
+it returns a countermodel or Unknown, never Valid.  The catalog pairs are
+built once per process, and so is the stack of valid P/F maps of each pair
+whose whole P x F product fits one ``algebra._COND_CHUNK`` block of the
+condition-3 filter: it is built the first time a search reaches the pair
+and then kept.  A larger pair is streamed block by block on every search
+and never stored.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ import numpy as np
 
 from . import syntax as S
 from .algebra import (BudgetExceeded, DeonticAlgebra, Interpretation,
-                      _assignment_grid, _pf_stacks, _run_table, evaluate)
+                      _assignment_grid, _compiled, _pf_one_block, _pf_stacks,
+                      _run_table, evaluate)
 from .lattice import heyting_catalog, powerset_algebra, two
 from .models import _MASK_OPS, DeonticModel, Valuation, _model_env
 from .syntax import LogicVariant as V
@@ -143,14 +149,12 @@ def decide_classical(phi: S.FormulaTerm, variant: V = V.DAL, alphabet=None,
     letters, props = S.table_names(table, S.Basic), S.table_names(table, S.Prop)
     if props and not variant.allows_props:
         raise ValueError(f"propositions are not allowed under {variant.value}")
-    if variant.requires_alphabet:
-        if not alphabet:
-            raise ValueError(f"{variant.value} needs a declared finite alphabet")
+    if variant.requires_alphabet and not alphabet:
+        raise ValueError(f"{variant.value} needs a declared finite alphabet")
+    if alphabet and (variant.requires_alphabet or variant is V.NDAL1):
         missing = set(letters) - set(alphabet)
         if missing:
             raise ValueError(f"actions {sorted(missing)} outside the declared alphabet")
-        actions = tuple(alphabet)
-    elif variant is V.NDAL1 and alphabet:
         actions = tuple(alphabet)
     else:
         actions = letters
@@ -204,15 +208,36 @@ def _boolean_catalog(max_atoms=2):
             for k in range(1, max_atoms + 1)]
 
 
+@functools.lru_cache(maxsize=None)
 def _catalog_pairs(variant, max_points):
-    heyt = list(heyting_catalog(max_points))
+    """The (action, formula) algebra pairs searched, built once per process,
+    so the same pair objects key _pair_stack."""
+    heyt = heyting_catalog(max_points)
     if variant is V.DAL_IPL:
-        return [(a, f) for a in _boolean_catalog() for f in heyt]
+        return tuple((a, f) for a in _boolean_catalog() for f in heyt)
     if variant is V.DAL_IAL:
-        return [(a, f) for a in heyt for f in [two()]]
+        return tuple((a, two()) for a in heyt)
     if variant is V.DAL_INT:
-        return [(a, f) for a in heyt for f in heyt]
+        return tuple((a, f) for a in heyt for f in heyt)
     raise ValueError(f"{variant.value} is not a Heyting-search variant")
+
+
+@functools.lru_cache(maxsize=None)
+def _fence_pairs():
+    """fence_scenario_search's pairs, built once so they key _pair_stack."""
+    return tuple((action, two()) for action in (two(), powerset_algebra(["t0", "t1"])))
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_stack(A, Fm):
+    """The _pf_stacks blocks of a pair that fits one ``_COND_CHUNK`` block,
+    kept for the life of the process, since the valid P/F maps depend only on
+    the pair; None for a larger pair, which every search streams anew.  The
+    index arrays are kept in the smallest integer type that holds them."""
+    if not _pf_one_block(A, Fm):
+        return None
+    return tuple((Ps, Fs, pi.astype(np.min_scalar_type(len(Ps))), fi.astype(np.min_scalar_type(len(Fs))))
+                 for Ps, Fs, pi, fi in _pf_stacks(A, Fm))
 
 
 _CAND_CHUNK = 1 << 20
@@ -228,14 +253,15 @@ def _search(pairs, hit, acts, props, max_candidates, max_interps):
     tried = 0
     for A, Fm in pairs:
         grid = None
-        for Ps, Fs in _pf_stacks(A, Fm):
-            n, Ps, Fs = len(Ps), Ps[:max_candidates - tried], Fs[:max_candidates - tried]
-            if len(Ps):
+        blocks = _pair_stack(A, Fm)
+        for Ps, Fs, pi, fi in _pf_stacks(A, Fm) if blocks is None else blocks:
+            n, pi, fi = len(pi), pi[:max_candidates - tried], fi[:max_candidates - tried]
+            if len(pi):
                 assign, total = grid = grid or _assignment_grid(
                     DeonticAlgebra(A, Fm, Ps, Fs), acts, props, max_interps)
                 step = max(1, _CAND_CHUNK // total)
-                for c0 in range(0, len(Ps), step):
-                    D = DeonticAlgebra(A, Fm, Ps[c0:c0 + step], Fs[c0:c0 + step])
+                for c0 in range(0, len(pi), step):
+                    D = DeonticAlgebra(A, Fm, Ps[pi[c0:c0 + step]], Fs[fi[c0:c0 + step]])
                     cells = np.flatnonzero(np.broadcast_to(hit(D, assign), (len(D.P), total)))
                     if len(cells):
                         c, r = divmod(int(cells[0]), total)
@@ -260,9 +286,12 @@ def countermodel_heyting(phi: S.FormulaTerm, variant: V,
     over join-irreducible values, then interpretation grid order, and is
     re-verified by the scalar evaluator.  A pair's candidates are evaluated
     together, in chunks of at most ``_CAND_CHUNK`` candidate-interpretation
-    cells.  Negative budgets raise ValueError.
+    cells.  The valid P/F maps of a pair that fits one ``_COND_CHUNK`` block
+    are built once per process, when a search first reaches the pair, and
+    reused by every later search; larger pairs are rebuilt, block by block,
+    each time.  Negative budgets raise ValueError.
     """
-    table = S.compile_term(phi)
+    table = _compiled(phi)   # evaluate's re-verification finds it compiled
     acts, props = S.table_names(table, S.Basic), S.table_names(table, S.Prop)
     try:
         D, h, tried = _search(_catalog_pairs(variant, max_points),
@@ -287,8 +316,7 @@ def fence_scenario_search(max_candidates: int = 200):
              "ispaintedwhite + isfenced == isfenced")
     conj = functools.reduce(S.And, (S.parse_formula(t, V.DAL_PROP) for t in texts))
     table = S.compile_term(conj)
-    pairs = [(action, two()) for action in (two(), powerset_algebra(["t0", "t1"]))]
-    D, h, _ = _search(pairs, lambda D, assign: _run_table(D, assign, assign, table) == D.formula.top,
+    D, h, _ = _search(_fence_pairs(), lambda D, assign: _run_table(D, assign, assign, table) == D.formula.top,
                       S.table_names(table, S.Basic), [], max_candidates, 1 << 16)
     if D is None:
         raise BudgetExceeded(f"no fence witness within {max_candidates} candidates")

@@ -198,6 +198,21 @@ def test_evaluate_batch_matches_scalar(rng):
         assert batch[i] == dk.evaluate(D, h, t)
 
 
+def test_evaluate_compiles_a_repeated_term_once(monkeypatch):
+    D = simple_bb()
+    A = D.action
+    h = dk.Interpretation(act={"a": A.index_of("{x}"), "b": A.index_of("{y}")})
+    t, u = dk.parse_formula("perm(a * ~b) | (a == b)"), dk.parse_formula("forb(a * ~b) | (a == b)")
+    compiled = []
+    real = S.compile_term
+    monkeypatch.setattr(S, "compile_term", lambda x: compiled.append(x) or real(x))
+    for term, calls in ((t, [t]), (t, [t]), (u, [t, u]), (t, [t, u, t])):
+        assert dk.evaluate(D, h, term) == reference_evaluate(D, h, term)
+        assert compiled == calls
+    batch = dk.evaluate_batch(D, {"a": np.arange(A.size), "b": np.zeros(A.size, int)}, t)
+    assert compiled == [t, u, t] and batch.shape == (A.size,)
+
+
 def reference_evaluate(D, h, t):
     """The recursive scalar evaluator the table walker replaced."""
     A, Fm = D.action, D.formula

@@ -1,5 +1,7 @@
+import contextlib
 import itertools as it
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +122,9 @@ def test_alphabet_validation():
         verdict("perm(a)", V.NDAL2)           # alphabet required
     with pytest.raises(ValueError):
         verdict("perm(c)", V.NDAL2, ("a", "b"))  # symbol outside alphabet
+    for variant in (V.NDAL1, V.NDAL2, V.NDAL3, V.NDAL4, V.NDAL5):
+        with pytest.raises(ValueError, match=r"actions \['c'\] outside the declared alphabet"):
+            verdict("perm(a * c)", variant, ("a", "b"))
 
 
 def test_budget_guard():
@@ -255,6 +260,23 @@ def _fingerprint(res):
     return "countermodel", tables, D.P.tolist(), D.F.tolist(), h.act, h.prop
 
 
+@contextlib.contextmanager
+def _chunks(monkeypatch, cand=None, cond=None):
+    """Patched chunk sizes, with the pair-stack cache emptied on the way in
+    and out: stacks cached at the real sizes would skip the split-block path,
+    and the pairs too large at the patched sizes are remembered as streamed."""
+    DC._pair_stack.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            if cand is not None:
+                m.setattr(DC, "_CAND_CHUNK", cand)
+            if cond is not None:
+                m.setattr(AL, "_COND_CHUNK", cond)
+            yield
+    finally:
+        DC._pair_stack.cache_clear()
+
+
 def _agree(monkeypatch, phi, variant, small_chunks=True, **kw):
     """The engine gives the reference's verdict, reason and countermodel at
     its own chunk sizes and, unless told not to, at one candidate per chunk
@@ -263,9 +285,7 @@ def _agree(monkeypatch, phi, variant, small_chunks=True, **kw):
     got = countermodel_heyting(phi, variant, **kw)
     assert _fingerprint(got) == want, (dk.print_formula(phi), variant, kw)
     if small_chunks:
-        with monkeypatch.context() as m:
-            m.setattr(DC, "_CAND_CHUNK", 1)
-            m.setattr(AL, "_COND_CHUNK", 128)
+        with _chunks(monkeypatch, cand=1, cond=128):
             assert _fingerprint(countermodel_heyting(phi, variant, **kw)) == want, \
                 (dk.print_formula(phi), variant, kw, "chunk 1")
     return got
@@ -273,13 +293,12 @@ def _agree(monkeypatch, phi, variant, small_chunks=True, **kw):
 
 @pytest.mark.parametrize("cond_chunk", [None, 128])
 def test_enumerate_pf_maps_matches_nested_products(monkeypatch, cond_chunk):
-    if cond_chunk is not None:
-        monkeypatch.setattr(AL, "_COND_CHUNK", cond_chunk)
-    for action in dk.heyting_catalog(3):
-        for formula in (dk.two(), dk.chain(3), dk.heyting_catalog(2)[2]):
-            got = [(P.tolist(), F.tolist()) for P, F in dk.enumerate_pf_maps(action, formula)]
-            want = [(P.tolist(), F.tolist()) for P, F in reference_pf_maps(action, formula)]
-            assert got == want
+    with _chunks(monkeypatch, cond=cond_chunk):
+        for action in dk.heyting_catalog(3):
+            for formula in (dk.two(), dk.chain(3), dk.heyting_catalog(2)[2]):
+                got = [(P.tolist(), F.tolist()) for P, F in dk.enumerate_pf_maps(action, formula)]
+                want = [(P.tolist(), F.tolist()) for P, F in reference_pf_maps(action, formula)]
+                assert got == want
 
 
 def test_heyting_engine_matches_reference_on_theorems(monkeypatch):
@@ -347,6 +366,106 @@ def test_heyting_frontier():
     assert fence_scenario_search(2)[0].P.tolist() == [1, 0]
     with pytest.raises(dk.BudgetExceeded, match="no fence witness within 1 candidates"):
         fence_scenario_search(1)
+
+
+# ---------------------------------------------------------------------------
+# The per-process cache of one-block P/F stacks
+# ---------------------------------------------------------------------------
+
+INT_THEOREM = _theorems("theorems_int.txt")[0]
+CACHE_CALLS = ((IPL_THEOREM, V.DAL_IPL, 2), ("perm(a) -> forb(a)", V.DAL_IPL, 3),
+               ("a + ~a == 1", V.DAL_IAL, 3), ("perm(a) | !perm(a)", V.DAL_INT, 2),
+               (IPL_THEOREM, V.DAL_IPL, 3), (INT_THEOREM, V.DAL_INT, 2),
+               ("p | !p", V.DAL_IAL, 2), (INT_THEOREM, V.DAL_INT, 3))
+
+
+def _fence_fingerprint():
+    D, h = fence_scenario_search()
+    return D.P.tolist(), D.F.tolist(), h
+
+
+def test_pair_stack_cache_matches_reference_and_cold_calls():
+    """Repeated and interleaved searches on a warm cache give the reference's
+    and a cold cache's results."""
+    calls = [(dk.parse_formula(t, v), v, {"max_points": mp, "max_candidates": 20000})
+             for t, v, mp in CACHE_CALLS]
+    want = [_fingerprint(reference_countermodel(phi, v, **kw)) for phi, v, kw in calls]
+    cold = []
+    for phi, v, kw in calls:
+        DC._pair_stack.cache_clear()
+        cold.append(_fingerprint(countermodel_heyting(phi, v, **kw)))
+    assert cold == want
+    DC._pair_stack.cache_clear()
+    fence = _fence_fingerprint()
+    assert {w[0] for w in want} == {"unknown", "countermodel"}
+    cases = list(zip(calls, want))
+    for order in (cases, cases[::-1], cases):
+        for (phi, v, kw), w in order:
+            assert _fingerprint(countermodel_heyting(phi, v, **kw)) == w, (dk.print_formula(phi), v, kw)
+            assert _fence_fingerprint() == fence
+    assert DC._pair_stack.cache_info().hits > 0
+
+
+def test_pair_stack_cache_holds_the_streamed_maps():
+    """Every kept pair gives the maps _pf_stacks streams, also where the map
+    tables outgrow one byte of index (up to 512 maps at INT, 3 points)."""
+    sizes = set()
+    for A, Fm in DC._catalog_pairs(V.DAL_INT, 3):
+        (Ps, Fs, pi, fi), = DC._pair_stack(A, Fm)
+        (Ps0, Fs0, pi0, fi0), = AL._pf_stacks(A, Fm)
+        assert np.array_equal(Ps[pi], Ps0[pi0]) and np.array_equal(Fs[fi], Fs0[fi0])
+        sizes.add(len(Ps))
+    assert max(sizes) == 512
+
+
+def test_pair_stack_cache_after_stopped_searches():
+    """A search stopped by its budget inside a pair, or by a countermodel,
+    builds only the pairs it reached; later searches still give the
+    reference's results."""
+    phi = dk.parse_formula(IPL_THEOREM, V.DAL_IPL)
+    pairs = DC._catalog_pairs(V.DAL_IPL, 3)
+    ends = np.cumsum([sum(len(pi) for *_, pi, _ in AL._pf_stacks(A, Fm)) for A, Fm in pairs])
+    assert ends[-1] == 1406
+    budget = 700
+    inside = int(np.searchsorted(ends, budget))   # the pair that candidate 700 is in
+    assert ends[inside - 1] < budget - 1 and budget < ends[inside]
+    DC._pair_stack.cache_clear()
+    for kw in ({"max_candidates": budget}, {}):
+        want = _fingerprint(reference_countermodel(phi, V.DAL_IPL, max_points=3, **kw))
+        got = _fingerprint(countermodel_heyting(phi, V.DAL_IPL, max_points=3, **kw))
+        assert got == want, kw
+        if kw:
+            assert DC._pair_stack.cache_info().currsize == inside + 1
+    assert DC._pair_stack.cache_info().currsize == len(pairs)
+    DC._pair_stack.cache_clear()
+    refutable = dk.parse_formula("perm(a) -> forb(a)", V.DAL_IPL)
+    assert isinstance(countermodel_heyting(refutable, V.DAL_IPL, max_points=3), Countermodel)
+    assert DC._pair_stack.cache_info().currsize == 1
+    assert countermodel_heyting(phi, V.DAL_IPL, max_points=3) == \
+        Unknown("no countermodel among 1406 catalog algebras")
+
+
+def test_pair_stack_cache_never_stores_multi_block_pairs(monkeypatch):
+    """With _COND_CHUNK small, a pair needing several blocks is rebuilt by
+    every search, a pair fitting one block only by the first."""
+    phi = dk.parse_formula(IPL_THEOREM, V.DAL_IPL)
+    built = Counter()
+    real = AL._pf_stacks
+
+    def counting(A, Fm):
+        built[A, Fm] += 1
+        return real(A, Fm)
+
+    with _chunks(monkeypatch, cond=128):
+        monkeypatch.setattr(DC, "_pf_stacks", counting)
+        pairs = DC._catalog_pairs(V.DAL_IPL, 2)
+        multi = {p for p in pairs if len(list(real(*p))) > 1}
+        assert 0 < len(multi) < len(pairs)
+        for _ in range(3):
+            assert countermodel_heyting(phi, V.DAL_IPL) == \
+                Unknown("no countermodel among 132 catalog algebras")
+        assert built == {p: 3 if p in multi else 1 for p in pairs}
+        assert all(DC._pair_stack(*p) is None for p in multi)
 
 
 # ---------------------------------------------------------------------------
