@@ -5,37 +5,55 @@ models, evaluation in finite deontic action algebras (Boolean or Heyting
 on either sort), Hilbert proof checking, a decision procedure for the
 classical variants, bounded countermodel search for the intuitionistic
 ones, and conversions between models and concrete algebras.
+
+The package imports its submodules on first use (PEP 562), so
+``import dalkit`` alone loads neither numpy nor the numeric modules:
+``dalkit.parse_formula`` loads ``syntax`` only, ``dalkit.lattice`` or
+``dalkit.heyting_catalog`` loads ``lattice`` and numpy.
 """
 
-from .algebra import (BudgetExceeded, ConditionError, DeonticAlgebra,
-                      Interpretation, act_eq_iff_form_eq, build, check_ndal,
-                      enumerate_pf_maps, evaluate, evaluate_batch,
-                      extend_by_irreducibles, preimage_ideals, satisfies,
-                      subalgebra_check, valid_formula_in, valid_in)
-from .decide import (AtomAssignment, Countermodel, Unknown, Valid,
-                     countermodel_heyting, decide_classical,
-                     fence_scenario_search)
-from .duality import (RoundTripReport, round_trip_report, stoneify,
-                      to_algebra, to_model)
-from .formats import (AlgebraFile, FormatError, read_algebra, read_model,
-                      read_proof, write_algebra, write_model, write_proof)
-from .lattice import (BooleanAlgebra, HeytingAlgebra, Lattice, Poset,
-                      PowersetAlgebra, SetFamilyAlgebra, all_ideals,
-                      all_posets, chain, congruence_closure, downset_algebra,
-                      find_isomorphism, free_boolean, generated_sublattice,
-                      heyting_catalog, is_boolean, is_congruence, is_ideal,
-                      powerset_algebra, principal_ideal, quotient,
-                      sublattice_on, two, validate)
-from .models import DeonticModel, Valuation, extend, sat, taut_oracle
-from .proof import (Axiom, AxiomSchema, MP, Proof, ProofResult, axiom_table,
-                    check_proof, match_schema)
-from .syntax import (AImpl, And, AVar, Basic, Bot, Compl, Eq, Forb, FVar, Iff,
-                     Impl, Inter, LogicVariant, Not, One, Or, ParseError,
-                     Perm, Prop, Top, Union, Zero, desugar,
-                     is_substitution_instance, metavariables, parse_action,
-                     parse_formula, print_action, print_formula, print_term,
-                     symbols)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# public name -> home submodule
+_EXPORTS = {
+    "algebra": """DeonticAlgebra Interpretation act_eq_iff_form_eq build check_ndal
+        enumerate_pf_maps evaluate evaluate_batch extend_by_irreducibles
+        preimage_ideals satisfies subalgebra_check valid_formula_in valid_in""",
+    "decide": """AtomAssignment Countermodel Unknown Valid countermodel_heyting
+        decide_classical fence_scenario_search""",
+    "duality": "RoundTripReport round_trip_report stoneify to_algebra to_model",
+    "formats": """AlgebraFile FormatError read_algebra read_model read_proof
+        write_algebra write_model write_proof""",
+    "lattice": """BooleanAlgebra HeytingAlgebra Lattice Poset PowersetAlgebra
+        SetFamilyAlgebra all_ideals all_posets chain congruence_closure
+        downset_algebra find_isomorphism free_boolean generated_sublattice
+        heyting_catalog is_boolean is_congruence is_ideal powerset_algebra
+        principal_ideal quotient sublattice_on two validate""",
+    "models": "DeonticModel Valuation extend sat taut_oracle",
+    "proof": """Axiom AxiomSchema MP Proof ProofResult axiom_table check_proof
+        match_schema""",
+    "syntax": """AImpl And AVar Basic Bot BudgetExceeded Compl ConditionError Eq
+        Forb FVar Iff Impl Inter LogicVariant Not One Or ParseError Perm Prop
+        Top Union Zero desugar is_substitution_instance metavariables
+        parse_action parse_formula print_action print_formula print_term
+        symbols""",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted([*_EXPORTS, *_HOME])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

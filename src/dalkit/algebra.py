@@ -37,19 +37,7 @@ import numpy as np
 
 from . import syntax as S
 from .lattice import (BooleanAlgebra, HeytingAlgebra, is_boolean, is_ideal)
-
-
-class BudgetExceeded(RuntimeError):
-    """An exhaustive enumeration would exceed the configured budget."""
-
-
-class ConditionError(ValueError):
-    """A deontic-algebra condition fails; carries the condition id and witness."""
-
-    def __init__(self, condition: str, witness: str):
-        super().__init__(f"condition {condition} fails: {witness}")
-        self.condition = condition
-        self.witness = witness
+from .syntax import BudgetExceeded, ConditionError  # defined numpy-free, re-exported here
 
 
 @dataclass(frozen=True)

@@ -3,22 +3,25 @@
 Exit codes: 0 = valid/true/accepted, 1 = invalid/false/countermodel found,
 2 = any input or usage error.  Countermodels print in the model file format
 so they can be fed back to eval-model.
+
+Each subcommand imports the modules it uses, so ``parse`` and
+``check-proof`` run without loading numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from . import decide as DC
 from . import formats
 from . import proof as PR
 from . import syntax as S
-from .algebra import (BudgetExceeded, ConditionError, DeonticAlgebra,
-                      Interpretation, evaluate)
-from .lattice import congruence_closure, heyting_catalog, quotient, validate
-from .models import sat
 from .syntax import LogicVariant
+
+if TYPE_CHECKING:
+    from .algebra import DeonticAlgebra
+    from .decide import Countermodel
 
 _HEYTING = (LogicVariant.DAL_IPL, LogicVariant.DAL_IAL, LogicVariant.DAL_INT)
 
@@ -53,6 +56,7 @@ def _parse_interp(text, af: formats.AlgebraFile, phi, variant, *,
                   seed_named=True):
     """name=value pairs; values are action element names, action terms over
     the algebra's named generators, or formula element names for props."""
+    from .algebra import Interpretation, evaluate
     D = af.algebra
     prop_names = set(S.symbols(phi).props) if phi is not None else set()
     # the algebra file's own named generators are usable without repeating
@@ -80,13 +84,13 @@ def _parse_interp(text, af: formats.AlgebraFile, phi, variant, *,
     return Interpretation(act=act, prop=prop)
 
 
-def _print_model_countermodel(cm: DC.Countermodel):
+def _print_model_countermodel(cm: Countermodel):
     print("countermodel:")
     text = formats.write_model(cm.model, cm.valuation, cm.prop_val)
     print("\n".join("  " + line for line in text.splitlines()))
 
 
-def _print_algebra_countermodel(cm: DC.Countermodel):
+def _print_algebra_countermodel(cm: Countermodel):
     D = cm.algebra
     print(f"countermodel: {D.flavor} algebra, |A|={D.action.size}, |F|={D.formula.size}")
     print(f"  action elements: {' '.join(D.action.names)}")
@@ -100,6 +104,7 @@ def _print_algebra_countermodel(cm: DC.Countermodel):
 
 def dot_export(D: DeonticAlgebra | object) -> str:
     """Hasse diagram of an action lattice in DOT; P/F-top nodes tinted."""
+    from .algebra import DeonticAlgebra
     lat = D.action if isinstance(D, DeonticAlgebra) else D
     if lat.size > 64:
         raise ValueError(f"{lat.size} elements is too large to draw (max 64)")
@@ -143,6 +148,7 @@ def _cmd_parse(args):
 
 
 def _cmd_eval_model(args):
+    from .models import sat
     variant = _variant(args)
     with open(args.model) as fh:
         M, v = formats.read_model(fh.read())
@@ -159,6 +165,7 @@ def _cmd_eval_model(args):
 
 
 def _cmd_eval_algebra(args):
+    from .algebra import evaluate
     variant = _variant(args)
     with open(args.algebra) as fh:
         af = formats.read_algebra(fh.read())
@@ -170,6 +177,7 @@ def _cmd_eval_algebra(args):
 
 
 def _cmd_decide(args):
+    from . import decide as DC
     variant = _variant(args)
     phi = S.parse_formula(args.formula, variant, _alphabet(args))
     verdict = DC.decide_classical(phi, variant, _alphabet(args),
@@ -182,6 +190,7 @@ def _cmd_decide(args):
 
 
 def _cmd_countermodel(args):
+    from . import decide as DC
     variant = _variant(args)
     if variant not in _HEYTING:
         return _error(f"countermodel handles {', '.join(v.value for v in _HEYTING)}")
@@ -197,11 +206,12 @@ def _cmd_countermodel(args):
 
 
 def _cmd_check_algebra(args):
+    from .lattice import validate
     with open(args.algebra) as fh:
         text = fh.read()
     try:
         af = formats.read_algebra(text)
-    except ConditionError as e:
+    except S.ConditionError as e:
         print(f"invalid: {e}")
         return 1
     problems = validate(af.algebra.action) + validate(af.algebra.formula)
@@ -227,6 +237,8 @@ def _cmd_check_proof(args):
 
 
 def _cmd_quotient(args):
+    from .algebra import evaluate
+    from .lattice import congruence_closure, quotient
     variant = _variant(args)
     with open(args.algebra) as fh:
         af = formats.read_algebra(fh.read())
@@ -234,7 +246,7 @@ def _cmd_quotient(args):
     h = _parse_interp(args.interp, af, None, variant)
     pairs = []
     for text in args.equation:
-        phi = S.parse_formula(text, variant if variant.allows_aimpl else variant)
+        phi = S.parse_formula(text, variant)
         if not isinstance(phi, S.Eq):
             return _error(f"{text!r} is not an action equation")
         pairs.append((evaluate(D, h, phi.left), evaluate(D, h, phi.right)))
@@ -267,6 +279,7 @@ def _cmd_convert(args):
     if args.to_model:
         if not args.algebra:
             return _error("--to-model needs --algebra")
+        from .algebra import Interpretation
         from .duality import stoneify, to_model
         with open(args.algebra) as fh:
             af = formats.read_algebra(fh.read())
@@ -293,6 +306,7 @@ def _powerset_atoms(D):
 
 
 def _cmd_catalog(args):
+    from .lattice import heyting_catalog
     for i, lat in enumerate(heyting_catalog(args.max_points)):
         points = len(lat.poset.point_names) if hasattr(lat, "poset") else "?"
         print(f"{i}: size={lat.size} poset_points={points} "
@@ -385,7 +399,7 @@ def main(argv=None) -> int:
     except KeyError as e:
         # str(KeyError) reprs its argument; unwrap for a clean message
         return _error(str(e.args[0]) if e.args else str(e))
-    except (S.ParseError, formats.FormatError, ConditionError, BudgetExceeded,
+    except (S.ParseError, formats.FormatError, S.ConditionError, S.BudgetExceeded,
             ValueError, OSError) as e:
         return _error(str(e))
     except RecursionError:

@@ -21,21 +21,24 @@ Proof (.prf):
     2: ...                                  [mp 1 2]
 
 '#' starts a comment anywhere on a line; blank lines are skipped.
+
+The model and algebra readers and writers import numpy and the numeric
+modules when called, so reading and writing proofs needs neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import proof as P
 from . import syntax as S
-from .algebra import DeonticAlgebra, build
-from .lattice import (HeytingAlgebra, Poset, chain, downset_algebra,
-                      free_boolean, powerset_algebra)
-from .models import DeonticModel, Valuation
 from .syntax import LogicVariant
+
+if TYPE_CHECKING:
+    from .algebra import DeonticAlgebra
+    from .lattice import HeytingAlgebra
+    from .models import DeonticModel, Valuation
 
 
 class FormatError(ValueError):
@@ -56,6 +59,7 @@ def _lines(text):
 # ---------------------------------------------------------------------------
 
 def read_model(text: str):
+    from .models import DeonticModel, Valuation
     elements = None
     permitted, forbidden = [], []
     vmap = {}
@@ -116,6 +120,10 @@ class AlgebraFile:
 
 
 def _make_lattice(spec: str, lineno: int):
+    import numpy as np
+
+    from .lattice import (Poset, chain, downset_algebra, free_boolean,
+                          powerset_algebra)
     parts = spec.split()
     kind, args = parts[0], parts[1:]
     named = {}
@@ -187,6 +195,9 @@ def _split_two_elems(rest, lineno):
 
 
 def read_algebra(text: str) -> AlgebraFile:
+    import numpy as np
+
+    from .algebra import build
     action = formula = None
     action_spec = formula_spec = None
     named = {}
@@ -249,6 +260,7 @@ def read_algebra(text: str) -> AlgebraFile:
 
 
 def write_algebra(af: AlgebraFile) -> str:
+    import numpy as np
     D = af.algebra
     fm = D.formula
 

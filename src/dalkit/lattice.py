@@ -667,39 +667,27 @@ def all_posets(n: int) -> tuple:
 
     Returned as relation bitmasks (bit i*n+j set iff point i < point j),
     canonical (minimal over point permutations), sorted ascending.
+
+    Every n-poset has a maximal point, so each class arises from an
+    (n-1)-poset by adding a last point above one of its downsets
+    (canonical augmentation, McKay 1998); only those candidates are
+    canonicalised.
     """
     if n == 0:
         return (0,)
-    pairs = list(itertools.combinations(range(n), 2))
+    m = n - 1
     perms = list(itertools.permutations(range(n)))
     seen = set()
-    for assignment in itertools.product((0, 1, 2), repeat=len(pairs)):
-        lt = [[False] * n for _ in range(n)]
-        for (i, j), c in zip(pairs, assignment):
-            if c == 1:
-                lt[i][j] = True
-            elif c == 2:
-                lt[j][i] = True
-        # transitivity
-        ok = True
-        for k in range(n):
-            for i in range(n):
-                if lt[i][k]:
-                    for j in range(n):
-                        if lt[k][j] and not lt[i][j]:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        canon = min(
-            _relation_mask([[lt[p[i]][p[j]] for j in range(n)] for i in range(n)], n)
-            for p in perms
-        )
-        seen.add(canon)
+    for base in all_posets(m):
+        lt0 = [[bool(base >> (i * m + j) & 1) for j in range(m)] for i in range(m)]
+        for down in range(1 << m):
+            if any(lt0[i][j] and down >> j & 1 and not down >> i & 1
+                   for i in range(m) for j in range(m)):
+                continue  # not a downset
+            lt = [row + [bool(down >> i & 1)] for i, row in enumerate(lt0)] + [[False] * n]
+            seen.add(min(
+                _relation_mask([[lt[p[i]][p[j]] for j in range(n)] for i in range(n)], n)
+                for p in perms))
     return tuple(sorted(seen))
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import syntax as S
-from .algebra import BudgetExceeded
+from .syntax import BudgetExceeded
 
 
 @dataclass(frozen=True)

@@ -215,6 +215,19 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+class BudgetExceeded(RuntimeError):
+    """An exhaustive enumeration would exceed the configured budget."""
+
+
+class ConditionError(ValueError):
+    """A deontic-algebra condition fails; carries the condition id and witness."""
+
+    def __init__(self, condition: str, witness: str):
+        super().__init__(f"condition {condition} fails: {witness}")
+        self.condition = condition
+        self.witness = witness
+
+
 # ---------------------------------------------------------------------------
 # Tokenizer
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
 import dalkit as dk
-from dalkit.lattice import Lattice
+from dalkit.lattice import Lattice, _relation_mask
 
 
 def test_powerset_ops_are_bitwise():
@@ -118,10 +121,54 @@ def test_sublattice_on_rejects_unclosed_set():
 
 
 def test_all_posets_counts():
-    # unlabeled posets: 1, 2, 5 for 1..3 points
+    # unlabeled posets: 1, 2, 5, 16, 63 for 1..5 points
     assert len(dk.all_posets(1)) == 1
     assert len(dk.all_posets(2)) == 2
     assert len(dk.all_posets(3)) == 5
+    assert len(dk.all_posets(4)) == 16
+    assert len(dk.all_posets(5)) == 63
+
+
+def reference_all_posets(n):
+    """Brute force: every relation on n points, transitive ones kept, each
+    canonicalised as the minimal relation mask over all permutations."""
+    if n == 0:
+        return (0,)
+    pairs = list(itertools.combinations(range(n), 2))
+    perms = list(itertools.permutations(range(n)))
+    seen = set()
+    for assignment in itertools.product((0, 1, 2), repeat=len(pairs)):
+        lt = [[False] * n for _ in range(n)]
+        for (i, j), c in zip(pairs, assignment):
+            if c == 1:
+                lt[i][j] = True
+            elif c == 2:
+                lt[j][i] = True
+        if any(lt[i][k] and lt[k][j] and not lt[i][j]
+               for k in range(n) for i in range(n) for j in range(n)):
+            continue
+        seen.add(min(
+            _relation_mask([[lt[p[i]][p[j]] for j in range(n)] for i in range(n)], n)
+            for p in perms))
+    return tuple(sorted(seen))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_all_posets_matches_brute_force(n):
+    assert dk.all_posets(n) == reference_all_posets(n)
+
+
+def test_heyting_catalog_5_is_pinned():
+    # sha256 of names and operation tables, in catalog order, as the
+    # brute-force all_posets produced them
+    h = hashlib.sha256()
+    for a in dk.heyting_catalog(5):
+        h.update("\n".join(a.names).encode() + b"\0")
+        for table in (a._join, a._meet, a._impl):
+            h.update(np.ascontiguousarray(table, dtype="<i4").tobytes())
+    assert len(dk.heyting_catalog(5)) == 87
+    assert h.hexdigest() == \
+        "dab84560410510d5f741606b7e229e6aa4b8402091117268bae9f19542556c62"
 
 
 def test_heyting_catalog_sizes():
