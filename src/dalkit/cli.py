@@ -70,7 +70,10 @@ def _parse_interp(text, af: formats.AlgebraFile, phi, variant, *,
         if not eq or not name:
             raise ValueError(f"bad interpretation entry {pair!r}")
         if name in prop_names:
-            prop[name] = formats._felem(D.formula, value, 0)
+            try:
+                prop[name] = formats._felem(D.formula, value, 0)
+            except formats.FormatError:   # not a file line: drop the "line 0:" prefix
+                raise ValueError(f"unknown formula element {value!r}") from None
             continue
         try:
             act[name] = D.action.index_of(value)
@@ -157,8 +160,10 @@ def _cmd_eval_model(args):
     if args.props:
         prop_val = {}
         for pair in args.props.split(","):
-            name, _, val = pair.partition("=")
-            prop_val[name.strip()] = val.strip() in ("true", "1")
+            name, eq, val = (x.strip() for x in pair.partition("="))
+            if not eq or not name or val not in ("true", "false", "1", "0"):
+                raise ValueError(f"bad proposition entry {pair!r}")
+            prop_val[name] = val in ("true", "1")
     value = sat(M, v, phi, prop_val=prop_val)
     print("true" if value else "false")
     return 0 if value else 1
@@ -402,9 +407,6 @@ def main(argv=None) -> int:
     except (S.ParseError, formats.FormatError, S.ConditionError, S.BudgetExceeded,
             ValueError, OSError) as e:
         return _error(str(e))
-    except RecursionError:
-        # proof matching still recurses and can overflow on deep input; a clean exit 2
-        return _error("input nested too deeply")
 
 
 if __name__ == "__main__":

@@ -152,6 +152,9 @@ def decide_classical(phi: S.FormulaTerm, variant: V = V.DAL, alphabet=None,
     if variant.requires_alphabet and not alphabet:
         raise ValueError(f"{variant.value} needs a declared finite alphabet")
     if alphabet and (variant.requires_alphabet or variant is V.NDAL1):
+        for k, a in enumerate(alphabet):
+            if a in alphabet[:k]:
+                raise ValueError(f"letter {a!r} repeats in the declared alphabet")
         missing = set(letters) - set(alphabet)
         if missing:
             raise ValueError(f"actions {sorted(missing)} outside the declared alphabet")

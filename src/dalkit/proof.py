@@ -1,11 +1,12 @@
 """Hilbert-style proof checking for every logic variant.
 
 A proof is a sequence of formulas, each justified as an instance of an axiom
-schema or by modus ponens from two earlier lines.  Schema matching binds
-metavariables (AVar over action terms, FVar over formulas) by one-way
-structural unification against the desugared schema pattern; under classical
-variants the modus-ponens major premise must have the desugared implication
-shape !x | y, under DAL_IPL/DAL_INT the primitive one.
+schema or by modus ponens from two earlier lines.  A check hash-conses
+its lines and patterns into one syntax.TermSpace, and a schema matches by one
+loop over (pattern row, line row) pairs that binds each metavariable (AVar
+over action terms, FVar over formulas) to one row.  Under classical variants
+the modus-ponens major premise must have the desugared implication shape
+!x | y, under DAL_IPL/DAL_INT the primitive one.
 
 Axiom identifiers:
 
@@ -24,7 +25,6 @@ Axiom identifiers:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -236,87 +236,72 @@ def axiom_table(variant: V, alphabet: tuple | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Matching
+# Matching, on the rows of one TermSpace
 # ---------------------------------------------------------------------------
 
-def _match_pattern(pat, t, binds):
-    if isinstance(pat, S.AVar):
-        if not isinstance(t, S.ActionTerm):
-            return False
-        if pat.name in binds:
-            return binds[pat.name] == t
-        binds[pat.name] = t
-        return True
-    if isinstance(pat, S.FVar):
-        if not isinstance(t, S.FormulaTerm):
-            return False
-        if pat.name in binds:
-            return binds[pat.name] == t
-        binds[pat.name] = t
-        return True
-    if type(pat) is not type(t):
-        return False
-    for f in dataclasses.fields(pat):
-        pv, tv = getattr(pat, f.name), getattr(t, f.name)
-        if isinstance(pv, S.Term):
-            if not _match_pattern(pv, tv, binds):
-                return False
-        elif pv != tv:
-            return False
-    return True
+_SORT = {S.AVar: S.ActionTerm, S.FVar: S.FormulaTerm}
 
 
-def _match_e2(phi, variant):
-    """(α=β ∧ φ) → ψ with ψ a result of replacing occurrences of α by β."""
-    if variant.primitive_impl:
-        if not isinstance(phi, S.Impl):
-            return False, None
-        ante, psi = phi.left, phi.right
-    else:
-        if not (isinstance(phi, S.Or) and isinstance(phi.left, S.Not)):
-            return False, None
-        ante, psi = phi.left.arg, phi.right
-    if not (isinstance(ante, S.And) and isinstance(ante.left, S.Eq)):
-        return False, None
-    alpha, beta = ante.left.left, ante.left.right
-    body = ante.right
-    if S.is_substitution_instance(psi, body, alpha, beta):
-        return True, {"α": alpha, "β": beta, "φ": body, "ψ": psi}
-    return False, None
+@lru_cache(maxsize=None)
+def _e2_pattern(variant: V) -> S.FormulaTerm:
+    """E2's shape (α = β ∧ φ) → ψ, desugared; the replacement is checked on the rows."""
+    return S.desugar(S.Impl(S.And(S.Eq(_av("α"), _av("β")), _fv("φ")), _fv("ψ")), variant)
+
+
+def _match_rows(space: S.TermSpace, pat: int, row: int, basic=()) -> dict | None:
+    """{metavariable: row} making pattern row pat into row, or None.  A metavariable
+    binds a row of its sort (Basic if in ``basic``), and once bound only that row."""
+    rows, binds, todo = space.rows, {}, [(pat, row)]
+    while todo:
+        p, r = todo.pop()
+        (pc, pn, pk), (rc, rn, rk) = rows[p], rows[r]
+        if pc in _SORT:
+            sort = S.Basic if pn in basic else _SORT[pc]
+            if not issubclass(rc, sort) or binds.setdefault(pn, r) != r:
+                return None
+        elif rc is not pc or rn != pn:
+            return None
+        else:
+            todo += zip(pk, rk)
+    return binds
+
+
+def _match(space: S.TermSpace, row: int, schema: AxiomSchema) -> dict | None:
+    if schema.id != "E2":
+        return _match_rows(space, space.intern(schema.pattern), row, schema.basic_vars)
+    b = _match_rows(space, space.intern(_e2_pattern(schema.variant)), row)
+    return b if b is not None and space.substitutes(b["ψ"], b["φ"], b["α"], b["β"]) else None
 
 
 def match_schema(phi: S.FormulaTerm, schema: AxiomSchema):
     """(matched, bindings) for a desugared formula against one schema."""
-    if schema.id == "E2":
-        return _match_e2(phi, schema.variant)
-    binds: dict = {}
-    if not _match_pattern(schema.pattern, phi, binds):
+    space = S.TermSpace()
+    binds = _match(space, space.intern(phi), schema)
+    if binds is None:
         return False, None
-    for name in schema.basic_vars:
-        if not isinstance(binds.get(name), S.Basic):
-            return False, None
-    return True, binds
+    return True, {name: space.terms[r] for name, r in binds.items()}
 
 
 def check_proof(p: Proof, variant: V | None = None) -> ProofResult:
-    """Validate every line; the first bad line wins."""
+    """Validate every line; the first bad line wins.  Terms are compared
+    by their rows in one TermSpace, modus ponens' expected implication too."""
     variant = variant or p.variant
     table = axiom_table(variant, p.alphabet)
-    lines = list(p.lines)
-    for k, (phi, just) in enumerate(lines, start=1):
+    space, rows = S.TermSpace(), []
+    for k, (phi, just) in enumerate(p.lines, start=1):
+        rows.append(space.intern(phi))
         if isinstance(just, Axiom):
             # ids may repeat (one closed formula per minterm), so try them all
             candidates = [s for s in table if s.id == just.id]
             if not candidates:
                 return ProofResult(False, k, f"unknown axiom {just.id} for {variant.value}")
-            if not any(match_schema(phi, s)[0] for s in candidates):
+            if all(_match(space, rows[-1], s) is None for s in candidates):
                 return ProofResult(False, k, f"not an instance of {just.id}")
         elif isinstance(just, MP):
             if not (1 <= just.i < k and 1 <= just.j < k):
                 return ProofResult(False, k, "mp must cite earlier lines")
-            minor = lines[just.i - 1][0]
-            major = lines[just.j - 1][0]
-            if major != S._expand_impl(variant, minor, phi):
+            minor = p.lines[just.i - 1][0]
+            if rows[just.j - 1] != space.intern(S._expand_impl(variant, minor, phi)):
                 return ProofResult(
                     False, k,
                     f"line {just.j} is not (line {just.i}) -> (line {k})")

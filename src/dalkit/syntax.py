@@ -20,7 +20,7 @@ the parser; under DAL_IPL / DAL_INT implication is a primitive connective
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -467,42 +467,66 @@ _NAMED = frozenset((Basic, AVar, Prop, FVar))
 _CLOSE = object()   # stack marker: build the row of the node below it
 
 
-def compile_term(t: Term) -> tuple:
-    """The post-order table of t's distinct subterms, built without recursion.
+class TermSpace:
+    """Terms hash-consed into rows (Filliatre & Conchon 2006): row i is
+    (class, name of a symbol or metavariable leaf or None, child rows, all
+    before i), and terms[i] is one term of row i.  Two terms interned into
+    one space are equal iff they get the same row.  Nodes are looked up by
+    id(), so the space holds every term interned: no id is reused in it."""
 
-    Row i is (class, name, child rows, dead rows): the name of a symbol or
-    metavariable leaf (else None), the rows of its children, all before i,
-    and the children whose last use is row i.  Subterms are hash-consed on
-    that shallow key (Filliatre & Conchon 2006), so equal subterms share a
-    row and are evaluated once.  The root is the last row.
-    """
-    rows, index, row_of, last, todo = [], {}, {}, {}, [t]   # row_of: id(node) -> row
-    while todo:
-        node = todo.pop()
-        if node is _CLOSE:   # all children have rows now; a term's fields are its children
+    def __init__(self):
+        self.rows, self.terms, self.index, self.row_of, self.held = [], [], {}, {}, []
+
+    def intern(self, t: Term) -> int:
+        """t's row, after adding rows for its subterms new to the space;
+        built without recursion, children before parents."""
+        rows, terms, index, row_of, todo = self.rows, self.terms, self.index, self.row_of, [t]
+        self.held.append(t)
+        while todo:
             node = todo.pop()
-            key = (type(node), None, tuple([row_of[id(k)] for k in vars(node).values()]))
-        else:
-            if id(node) in row_of:
-                continue
-            cls = type(node)
-            if cls not in _TERMS:
-                raise TypeError(f"not a term: {cls.__name__}")
-            if cls in _NAMED:
-                key = (cls, node.name, ())
-            elif vars(node):
-                todo += (node, _CLOSE, *reversed(vars(node).values()))
-                continue
+            if node is _CLOSE:   # all children have rows now; a term's fields are its children
+                node = todo.pop()
+                key = (type(node), None, tuple([row_of[id(k)] for k in vars(node).values()]))
             else:
-                key = (cls, None, ())
-        row = index.setdefault(key, len(rows))
-        if row == len(rows):
-            rows.append(key)
-            for k in key[2]:
-                last[k] = row
-        row_of[id(node)] = row
+                if id(node) in row_of:
+                    continue
+                cls = type(node)
+                if cls not in _TERMS:
+                    raise TypeError(f"not a term: {cls.__name__}")
+                if cls not in _NAMED:
+                    todo += (node, _CLOSE, *reversed(vars(node).values()))
+                    continue
+                key = (cls, node.name, ())
+            row = index.setdefault(key, len(rows))
+            if row == len(rows):
+                rows.append(key)
+                terms.append(node)
+            row_of[id(node)] = row
+        return row_of[id(t)]
+
+    def substitutes(self, res: int, orig: int, alpha: int, beta: int) -> bool:
+        """True iff row res is row orig with zero or more occurrences of row
+        alpha replaced by row beta."""
+        rows, todo, seen = self.rows, [(res, orig)], set()
+        while todo:
+            pair = r, o = todo.pop()
+            if r == o or o == alpha and r == beta or pair in seen:
+                continue
+            seen.add(pair)
+            if rows[r][:2] != rows[o][:2]:   # class or name differ
+                return False
+            todo += zip(rows[r][2], rows[o][2])
+        return True
+
+
+def compile_term(t: Term) -> tuple:
+    """The rows of t in a fresh TermSpace, the root last, each extended by
+    its dead rows: the children whose last use it is.  Built without recursion."""
+    space = TermSpace()
+    space.intern(t)
+    last = {k: row for row, (_, _, kids) in enumerate(space.rows) for k in kids}
     return tuple([(*key, tuple({k for k in key[2] if last[k] == row}))
-                  for row, key in enumerate(rows)])
+                  for row, key in enumerate(space.rows)])
 
 
 def run(table: tuple, ops: dict, env):
@@ -626,21 +650,7 @@ def metavariables(t: Term) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return table_names(table, AVar), table_names(table, FVar)
 
 
-def is_substitution_instance(psi: Term, phi: Term, alpha: ActionTerm,
-                             beta: ActionTerm) -> bool:
+def is_substitution_instance(psi: Term, phi: Term, alpha: ActionTerm, beta: ActionTerm) -> bool:
     """True iff psi is phi with zero or more occurrences of alpha replaced by beta."""
-    def match(res: Term, orig: Term) -> bool:
-        if orig == alpha and res == beta:
-            return True
-        if type(res) is not type(orig):
-            return False
-        for f in fields(orig):
-            a, b = getattr(res, f.name), getattr(orig, f.name)
-            if isinstance(b, (ActionTerm, FormulaTerm)):
-                if not match(a, b):
-                    return False
-            elif a != b:
-                return False
-        return True
-
-    return match(psi, phi)
+    space = TermSpace()
+    return space.substitutes(*map(space.intern, (psi, phi, alpha, beta)))

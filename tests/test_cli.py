@@ -62,6 +62,16 @@ def test_eval_model_with_props(model_file, capsys):
     assert rc == 0 and capsys.readouterr().out.strip() == "true"
 
 
+@pytest.mark.parametrize("entry, rc", [("rain=false", 0), ("rain=0", 0), ("rain=1", 1),
+                                       ("rain=yes", 2), ("rain=TRUE", 2), ("rain", 2),
+                                       ("=true", 2)])
+def test_eval_model_prop_entries(model_file, entry, rc, capsys):
+    assert main(["eval-model", "--logic", "dal_prop", "--model", model_file,
+                 "--props", entry, "rain -> perm(~a)"]) == rc
+    if rc == 2:
+        assert capsys.readouterr().err == f"error: bad proposition entry {entry!r}\n"
+
+
 def test_eval_model_missing_file(capsys):
     assert main(["eval-model", "--model", "/nonexistent.dam", "perm(a)"]) == 2
 
@@ -104,6 +114,14 @@ def test_eval_algebra_unbound_action_is_clean_error(capsys):
     assert err.startswith("error:") and "zz" in err
 
 
+def test_eval_algebra_bad_prop_value_names_no_file_line(capsys):
+    path = str(DATA / "closure.daa")
+    rc = main(["eval-algebra", "--logic", "dal_prop", "--algebra", path,
+               "--interp", "p=nope", "p"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: unknown formula element 'nope'\n"
+
+
 def test_decide_valid(capsys):
     assert main(["decide", "perm(a+b) <-> perm(a) & perm(b)"]) == 0
     assert capsys.readouterr().out.strip() == "valid"
@@ -127,6 +145,9 @@ def test_decide_respects_variant(capsys):
                  "a + b == 1"]) == 0
     capsys.readouterr()
     assert main(["decide", "--logic", "ndal3", "a + b == 1"]) == 2
+    capsys.readouterr()
+    assert main(["decide", "--logic", "ndal3", "--alphabet", "a,a", "a == 1"]) == 2
+    assert capsys.readouterr().err == "error: letter 'a' repeats in the declared alphabet\n"
 
 
 def test_decide_budget(capsys):

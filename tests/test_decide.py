@@ -125,6 +125,9 @@ def test_alphabet_validation():
     for variant in (V.NDAL1, V.NDAL2, V.NDAL3, V.NDAL4, V.NDAL5):
         with pytest.raises(ValueError, match=r"actions \['c'\] outside the declared alphabet"):
             verdict("perm(a * c)", variant, ("a", "b"))
+        # with a repeated letter, NDAL3 refuted its own axiom a + a == 1
+        with pytest.raises(ValueError, match=r"^letter 'a' repeats in the declared alphabet$"):
+            verdict("a == 1", variant, ("a", "a"))
 
 
 def test_budget_guard():
