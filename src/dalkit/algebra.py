@@ -16,7 +16,9 @@ subject to the conditions
     5. E(a,b) & F(a) <= F(b)
     6. E(a,b) = top  iff  a == b
 
-``build`` checks these exhaustively.  E defaults to the crisp equality (top
+``build`` checks these exhaustively with the one law checker of ``lattice``,
+in the fixed order 6, 3, 1, 2, 4, 5, and names the first condition that
+fails with its first counterexample.  E defaults to the crisp equality (top
 on the diagonal, bot off it); a graded E may be supplied explicitly.
 
 Terms are evaluated under an Interpretation mapping basic actions to action
@@ -36,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import syntax as S
-from .lattice import (BooleanAlgebra, HeytingAlgebra, is_boolean, is_ideal)
+from .lattice import (BooleanAlgebra, HeytingAlgebra, _first_failure, is_boolean,
+                      is_ideal)
 from .syntax import BudgetExceeded, ConditionError  # defined numpy-free, re-exported here
 
 
@@ -104,56 +107,33 @@ def build(action: HeytingAlgebra, formula: HeytingAlgebra, P, F, E=None) -> Deon
         if D._E.min() < 0 or D._E.max() >= Fm.size:
             raise ValueError("E contains an out-of-range formula element")
 
-    def name_a(i):
+    def name(i):
         return A.element_name(i)
 
-    # condition 6 first: it is cheap and conditions 3-5 quote E
-    if D._E is not None:
-        diag = D._E.diagonal()
-        bad = np.nonzero(diag != Fm.top)[0]
-        if len(bad):
-            a = int(bad[0])
-            raise ConditionError("6", f"E({name_a(a)}, {name_a(a)}) != top")
-        off = D._E == Fm.top
-        np.fill_diagonal(off, False)
-        bad = np.nonzero(off)
-        if len(bad[0]):
-            a, b = int(bad[0][0]), int(bad[1][0])
-            raise ConditionError("6", f"E({name_a(a)}, {name_a(b)}) = top but the elements differ")
+    def at(a, b):
+        return f"at ({name(a)}, {name(b)})"
 
-    # condition 3: P(a) & F(a) = E(a, 0)
-    idx = np.arange(n)
-    lhs = Fm.vmeet(D.P[idx], D.F[idx])
-    rhs = D.vE(idx, np.full(n, A.bot))
-    bad = np.nonzero(lhs != rhs)[0]
-    if len(bad):
-        a = int(bad[0])
-        raise ConditionError("3", f"P & F at {name_a(a)} is "
-                             f"{Fm.element_name(int(lhs[a]))}, E(a,0) is {Fm.element_name(int(rhs[a]))}")
-
-    # conditions 1, 2, 4, 5 are quadratic; chunk over the first coordinate
-    leq_f = None
-    step = max(1, _COND_CHUNK // max(n, 1))
-    for a0 in range(0, n, step):
-        a = np.arange(a0, min(n, a0 + step))[:, None]
-        b = idx[None, :]
-        j = A.vjoin(a, b)
-        for cid, vec in (("1", D.P), ("2", D.F)):
-            lhs = vec[j]
-            rhs = Fm.vmeet(vec[a], vec[b])
-            bad = np.nonzero(lhs != rhs)
-            if len(bad[0]):
-                i, k = int(bad[0][0]) + a0, int(bad[1][0])
-                raise ConditionError(cid, f"at ({name_a(i)}, {name_a(k)})")
-        e = D.vE(a, b)
-        for cid, vec in (("4", D.P), ("5", D.F)):
-            lhs = Fm.vmeet(e, vec[a])
-            rhs = np.broadcast_to(vec[b], lhs.shape)
-            not_leq = Fm.vjoin(lhs, rhs) != rhs
-            bad = np.nonzero(not_leq)
-            if len(bad[0]):
-                i, k = int(bad[0][0]) + a0, int(bad[1][0])
-                raise ConditionError(cid, f"at ({name_a(i)}, {name_a(k)})")
+    P, F, E = D.P, D.F, D.vE
+    # (condition, arity, law, witness text); condition 6 first: conditions
+    # 3-5 quote E
+    laws = [] if D._E is None else [
+        ("6", 1, lambda x: (D._E[x, x], Fm.top), lambda a: f"E({name(a)}, {name(a)}) != top"),
+        ("6", 2, lambda x, y: ((D._E[x, y] == Fm.top) & (x != y), False),
+         lambda a, b: f"E({name(a)}, {name(b)}) = top but the elements differ"),
+    ]
+    laws += [
+        ("3", 1, lambda x: (Fm.vmeet(P[x], F[x]), E(x, A.bot)),
+         lambda a: f"P & F at {name(a)} is {Fm.element_name(int(Fm.meet(P[a], F[a])))}, "
+                   f"E(a,0) is {Fm.element_name(D.E(a, A.bot))}"),
+        ("1", 2, lambda x, y: (P[A.vjoin(x, y)], Fm.vmeet(P[x], P[y])), at),
+        ("2", 2, lambda x, y: (F[A.vjoin(x, y)], Fm.vmeet(F[x], F[y])), at),
+        ("4", 2, lambda x, y: (Fm.vjoin(Fm.vmeet(E(x, y), P[x]), P[y]), P[y]), at),
+        ("5", 2, lambda x, y: (Fm.vjoin(Fm.vmeet(E(x, y), F[x]), F[y]), F[y]), at),
+    ]
+    for cid, arity, law, text in laws:
+        witness = _first_failure(n, arity, law)
+        if witness is not None:
+            raise ConditionError(cid, text(*witness))
     return D
 
 
@@ -356,18 +336,20 @@ def subalgebra_check(D_sub: DeonticAlgebra, D: DeonticAlgebra,
             return
         if emb[sub.bot] != big.bot or emb[sub.top] != big.top:
             report.append(f"{tag}: bounds are not preserved")
-        for a in range(sub.size):
-            for b in range(sub.size):
-                if emb[sub.join(a, b)] != big.join(emb[a], emb[b]):
-                    report.append(f"{tag}: join not preserved at ({a}, {b})")
-                    return
-                if emb[sub.meet(a, b)] != big.meet(emb[a], emb[b]):
-                    report.append(f"{tag}: meet not preserved at ({a}, {b})")
-                    return
-                if isinstance(sub, HeytingAlgebra) and isinstance(big, HeytingAlgebra):
-                    if emb[sub.impl(a, b)] != big.impl(emb[a], emb[b]):
-                        report.append(f"{tag}: impl not preserved at ({a}, {b})")
-                        return
+        names = ("join", "meet")
+        if isinstance(sub, HeytingAlgebra) and isinstance(big, HeytingAlgebra):
+            names += ("impl",)
+        img = np.asarray(emb)
+        fails = []
+        for k, name in enumerate(names):
+            op_sub, op_big = getattr(sub, "v" + name), getattr(big, "v" + name)
+            witness = _first_failure(sub.size, 2, lambda x, y: (
+                img[op_sub(x, y)], op_big(img[x], img[y])))
+            if witness is not None:
+                fails.append((witness, k))
+        if fails:  # the first failing pair; at a pair, join before meet before impl
+            (a, b), k = min(fails)
+            report.append(f"{tag}: {names[k]} not preserved at ({a}, {b})")
 
     check_lattice(D_sub.action, D.action, act_emb, "action")
     check_lattice(D_sub.formula, D.formula, form_emb, "formula")

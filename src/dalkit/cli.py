@@ -44,14 +44,6 @@ def _error(msg: str) -> int:
     return 2
 
 
-def _fname(formula, x):
-    if x == formula.top:
-        return "top"
-    if x == formula.bot:
-        return "bot"
-    return formula.element_name(int(x))
-
-
 def _parse_interp(text, af: formats.AlgebraFile, phi, variant, *,
                   seed_named=True):
     """name=value pairs; values are action element names, action terms over
@@ -97,12 +89,12 @@ def _print_algebra_countermodel(cm: Countermodel):
     D = cm.algebra
     print(f"countermodel: {D.flavor} algebra, |A|={D.action.size}, |F|={D.formula.size}")
     print(f"  action elements: {' '.join(D.action.names)}")
-    print(f"  P: {' '.join(_fname(D.formula, x) for x in D.P)}")
-    print(f"  F: {' '.join(_fname(D.formula, x) for x in D.F)}")
+    print(f"  P: {' '.join(formats._fname(D.formula, x) for x in D.P)}")
+    print(f"  F: {' '.join(formats._fname(D.formula, x) for x in D.F)}")
     for name, x in sorted(cm.interp.act.items()):
         print(f"  {name} -> {D.action.element_name(x)}")
     for name, x in sorted(cm.interp.prop.items()):
-        print(f"  {name} -> {_fname(D.formula, x)}")
+        print(f"  {name} -> {formats._fname(D.formula, x)}")
 
 
 def dot_export(D: DeonticAlgebra | object) -> str:
@@ -177,7 +169,7 @@ def _cmd_eval_algebra(args):
     phi = S.parse_formula(args.formula, variant, _alphabet(args))
     h = _parse_interp(args.interp, af, phi, variant)
     value = evaluate(af.algebra, h, phi)
-    print(_fname(af.algebra.formula, value))
+    print(formats._fname(af.algebra.formula, value))
     return 0 if value == af.algebra.formula.top else 1
 
 

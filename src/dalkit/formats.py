@@ -168,6 +168,15 @@ def _felem(formula: HeytingAlgebra, name: str, lineno: int) -> int:
         raise FormatError(lineno, f"unknown formula element {name!r}") from None
 
 
+def _fname(formula: HeytingAlgebra, x) -> str:
+    """The name _felem reads back as x."""
+    if x == formula.top:
+        return "top"
+    if x == formula.bot:
+        return "bot"
+    return formula.element_name(int(x))
+
+
 def _aelem(action, name, lineno):
     try:
         return action.index_of(name)
@@ -264,28 +273,21 @@ def write_algebra(af: AlgebraFile) -> str:
     D = af.algebra
     fm = D.formula
 
-    def fname(x):
-        if x == fm.top:
-            return "top"
-        if x == fm.bot:
-            return "bot"
-        return fm.element_name(int(x))
-
     out = [f"actions: {af.action_spec}", f"formulas: {af.formula_spec}"]
     for tag, vec in (("P", D.P), ("F", D.F)):
         counts = np.bincount(vec, minlength=fm.size)
         default = int(np.argmax(counts))
-        out.append(f"{tag} default = {fname(default)}")
+        out.append(f"{tag} default = {_fname(fm, default)}")
         for i in range(D.action.size):
             if vec[i] != default:
-                out.append(f"{tag} {D.action.element_name(i)} = {fname(int(vec[i]))}")
+                out.append(f"{tag} {D.action.element_name(i)} = {_fname(fm, int(vec[i]))}")
     if not D.crisp_equality:
         for a in range(D.action.size):
             for b in range(D.action.size):
                 crisp = fm.top if a == b else fm.bot
                 if D.E(a, b) != crisp:
                     out.append(f"E {D.action.element_name(a)} "
-                               f"{D.action.element_name(b)} = {fname(D.E(a, b))}")
+                               f"{D.action.element_name(b)} = {_fname(fm, D.E(a, b))}")
     return "\n".join(out) + "\n"
 
 

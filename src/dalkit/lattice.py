@@ -13,12 +13,19 @@ Defining equations checked by ``validate``:
     Heyting: residuation plus H2, H3 and the meet form of modus ponens
         x * (x ~> y) = x * y   (id "H1m")
     Boolean: additionally LEM  x + ~x = 1
+
+Every check that a law holds for all elements goes through one checker,
+``_first_failure``: it broadcasts the law over index grids, chunked over the
+first index, and returns the first counterexample in row-major order.  The
+lattice laws above, ``is_boolean``, ``is_ideal`` and ``is_congruence`` use it
+here, and ``algebra.build`` and ``algebra.subalgebra_check`` use it for the
+deontic conditions and for operation preservation.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -158,13 +165,6 @@ class PowersetAlgebra(BooleanAlgebra):
     vmeet = meet
     vimpl = impl
     vcompl = compl
-
-    def leq(self, a, b):
-        return a | b == b
-
-    def leq_matrix(self):
-        idx = np.arange(self.size)
-        return (idx[:, None] | idx[None, :]) == idx[None, :]
 
     def element_name(self, i: int) -> str:
         members = [nm for k, nm in enumerate(self.atom_names) if i >> k & 1]
@@ -376,29 +376,27 @@ def downset_algebra(poset: Poset) -> HeytingAlgebra:
 _CHUNK = 1 << 22
 
 
-def _grids(l, arity, x0, x1):
-    """Index grids broadcasting over (x-chunk, y, z)."""
-    idx = np.arange(l.size)
-    x = np.arange(x0, x1)
-    if arity == 1:
-        return (x,)
-    if arity == 2:
-        return (x[:, None], idx[None, :])
-    return (x[:, None, None], idx[None, :, None], idx[None, None, :])
+def _first_failure(size: int, arity: int, fn):
+    """The first index tuple over range(size)**arity, in row-major order, at
+    which a law fails; None if it holds everywhere.
 
-
-def _check_law(l, law_id, arity, fn, report):
-    step = max(1, _CHUNK // (l.size ** (arity - 1) or 1))
-    for x0 in range(0, l.size, step):
-        grids = _grids(l, arity, x0, min(l.size, x0 + step))
-        lhs, rhs = fn(l, *grids)
-        bad = np.nonzero(np.broadcast_to(lhs != rhs, np.broadcast_shapes(np.shape(lhs), np.shape(rhs))))
-        if len(bad[0]):
-            first = tuple(int(b[0]) for b in bad)
-            witness = (first[0] + x0,) + first[1:]
-            names = ", ".join(l.element_name(w) for w in witness)
-            report.append(f"{law_id} fails at ({names})")
-            return
+    fn(*grids) returns (lhs, rhs) for index grids that broadcast over the
+    tuples, and the law fails where lhs != rhs.  The first index is chunked
+    to about _CHUNK cells per chunk, at least one value of it per chunk.
+    """
+    idx = np.arange(size)
+    step = max(1, _CHUNK // (size ** (arity - 1) or 1))
+    for x0 in range(0, size, step):
+        x = np.arange(x0, min(size, x0 + step))
+        grids = [g.reshape([-1 if j == k else 1 for j in range(arity)])
+                 for k, g in enumerate([x] + [idx] * (arity - 1))]
+        lhs, rhs = fn(*grids)
+        shape = (len(x),) + (size,) * (arity - 1)
+        bad = np.broadcast_to(lhs != rhs, shape)
+        if bad.any():
+            first = np.unravel_index(int(bad.argmax()), shape)
+            return (x0 + int(first[0]),) + tuple(int(i) for i in first[1:])
+    return None
 
 
 _BDL_LAWS = [
@@ -407,30 +405,31 @@ _BDL_LAWS = [
     ("L3", 1, lambda l, x: (l.vjoin(x, x), x)),
     ("L4", 2, lambda l, x, y: (l.vjoin(x, l.vmeet(x, y)), x)),
     ("L5", 3, lambda l, x, y, z: (l.vjoin(x, l.vmeet(y, z)), l.vmeet(l.vjoin(x, y), l.vjoin(x, z)))),
-    ("L6", 1, lambda l, x: (l.vjoin(x, l.top), np.full(np.shape(x), l.top))),
+    ("L6", 1, lambda l, x: (l.vjoin(x, l.top), l.top)),
     ("L7", 3, lambda l, x, y, z: (l.vmeet(x, l.vmeet(y, z)), l.vmeet(l.vmeet(x, y), z))),
     ("L8", 2, lambda l, x, y: (l.vmeet(x, y), l.vmeet(y, x))),
     ("L9", 1, lambda l, x: (l.vmeet(x, x), x)),
     ("L10", 2, lambda l, x, y: (l.vmeet(x, l.vjoin(x, y)), x)),
     ("L11", 3, lambda l, x, y, z: (l.vmeet(x, l.vjoin(y, z)), l.vjoin(l.vmeet(x, y), l.vmeet(x, z)))),
-    ("L12", 1, lambda l, x: (l.vmeet(x, l.bot), np.full(np.shape(x), l.bot))),
+    ("L12", 1, lambda l, x: (l.vmeet(x, l.bot), l.bot)),
 ]
 
 _HEYTING_LAWS = [
-    ("H2", 3, lambda l, x, y, z: (l.vmeet(l.vimpl(l.vmeet(x, y), x), z), np.broadcast_to(z, np.broadcast_shapes(np.shape(x), np.shape(z))))),
+    ("H2", 3, lambda l, x, y, z: (l.vmeet(l.vimpl(l.vmeet(x, y), x), z), z)),
     ("H3", 3, lambda l, x, y, z: (l.vmeet(x, l.vimpl(y, z)), l.vmeet(x, l.vimpl(l.vmeet(x, y), l.vmeet(x, z))))),
     ("H1m", 2, lambda l, x, y: (l.vmeet(x, l.vimpl(x, y)), l.vmeet(x, y))),
-    ("residuation", 3, lambda l, x, y, z: (l.vjoin(l.vmeet(x, z), y) == np.broadcast_to(y, np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z))),
+    ("residuation", 3, lambda l, x, y, z: (l.vjoin(l.vmeet(x, z), y) == y,
                                            l.vjoin(z, l.vimpl(x, y)) == l.vimpl(x, y))),
 ]
 
 _BOOLEAN_LAWS = [
-    ("LEM", 1, lambda l, x: (l.vjoin(x, l.vcompl(x)), np.full(np.shape(x), l.top))),
+    ("LEM", 1, lambda l, x: (l.vjoin(x, l.vcompl(x)), l.top)),
 ]
 
 
 def validate(l: Lattice, kind: str | None = None) -> list[str]:
-    """Exhaustively check the defining equations; return violation reports.
+    """Exhaustively check the defining equations; return violation reports,
+    one per failing law, naming its first counterexample.
 
     kind is 'bdl', 'heyting' or 'boolean'; defaults to the strongest kind the
     instance claims.  The check is cubic in the lattice size.
@@ -449,16 +448,17 @@ def validate(l: Lattice, kind: str | None = None) -> list[str]:
         laws += _BOOLEAN_LAWS
     report: list[str] = []
     for law_id, arity, fn in laws:
-        _check_law(l, law_id, arity, fn, report)
+        witness = _first_failure(l.size, arity, partial(fn, l))
+        if witness is not None:
+            names = ", ".join(l.element_name(w) for w in witness)
+            report.append(f"{law_id} fails at ({names})")
     return report
 
 
 def is_boolean(l: Lattice) -> bool:
     """True iff l carries an implication and LEM holds for its complement."""
-    if not isinstance(l, HeytingAlgebra):
-        return False
-    idx = np.arange(l.size)
-    return bool((l.vjoin(idx, l.vcompl(idx)) == l.top).all())
+    return isinstance(l, HeytingAlgebra) and all(
+        _first_failure(l.size, arity, partial(fn, l)) is None for _, arity, fn in _BOOLEAN_LAWS)
 
 
 # ---------------------------------------------------------------------------
@@ -466,18 +466,17 @@ def is_boolean(l: Lattice) -> bool:
 # ---------------------------------------------------------------------------
 
 def is_ideal(l: Lattice, members) -> bool:
-    """Closed under join, absorbs meets, contains bot."""
+    """Closed under join, absorbs meets, contains bot.  A set with a member
+    outside the carrier is not an ideal."""
     s = set(members)
-    if l.bot not in s:
+    if l.bot not in s or not s <= set(range(l.size)):
         return False
-    for a in s:
-        for b in s:
-            if l.join(a, b) not in s:
-                return False
-        for x in range(l.size):
-            if l.meet(a, x) not in s:
-                return False
-    return True
+    inside = np.zeros(l.size, dtype=bool)
+    inside[list(s)] = True
+    # for x in the set and every y: x * y is in it, and so is x + y if y is
+    return _first_failure(l.size, 2, lambda x, y: (
+        inside[x] & ~(inside[l.vmeet(x, y)] & (inside[l.vjoin(x, y)] | ~inside[y])),
+        False)) is None
 
 
 def principal_ideal(l: Lattice, a: int) -> frozenset:
@@ -505,24 +504,23 @@ def _class_map(l, partition):
     return cls
 
 
-def _ops_of(l):
-    ops = [l.join, l.meet]
-    if isinstance(l, HeytingAlgebra):
-        ops.append(l.impl)
-    return ops
+def _op_names(l):
+    return ("join", "meet", "impl") if isinstance(l, HeytingAlgebra) else ("join", "meet")
 
 
 def is_congruence(l: Lattice, partition) -> bool:
-    """Partition compatible with join/meet (and impl when present)."""
-    cls = _class_map(l, partition)
-    for op in _ops_of(l):
-        seen = {}
-        for a in range(l.size):
-            for b in range(l.size):
-                key = (cls[a], cls[b])
-                c = cls[op(a, b)]
-                if seen.setdefault(key, c) != c:
-                    return False
+    """Partition compatible with join/meet (and impl when present): no
+    operation changes class when either argument moves to the first member
+    of its own class."""
+    cls = np.array(_class_map(l, partition))
+    first = {}
+    rep = np.array([first.setdefault(k, x) for x, k in enumerate(cls)])
+    for name in _op_names(l):
+        op = getattr(l, "v" + name)
+        if _first_failure(l.size, 2, lambda x, y: (
+                cls[op(x, y)],
+                np.where(cls[op(rep[x], y)] == cls[op(x, rep[y])], cls[op(rep[x], y)], -1))) is not None:
+            return False
     return True
 
 
@@ -545,7 +543,7 @@ def congruence_closure(l: Lattice, pairs) -> list[list[int]]:
 
     for a, b in pairs:
         union(a, b)
-    ops = _ops_of(l)
+    ops = [getattr(l, name) for name in _op_names(l)]
     changed = True
     while changed:
         changed = False
@@ -727,7 +725,8 @@ def heyting_catalog(max_poset_points: int) -> tuple:
 def find_isomorphism(l1: Lattice, l2: Lattice):
     """A lattice isomorphism l1 -> l2 as an index list, or None.
 
-    Backtracking over covers; fine for the small algebras used here.
+    Backtracking over the order, with an explicit stack rather than
+    recursion, so the depth of the search is not bounded by Python's.
     """
     if l1.size != l2.size:
         return None
@@ -737,33 +736,33 @@ def find_isomorphism(l1: Lattice, l2: Lattice):
     prof2 = [(int(leq2[i].sum()), int(leq2[:, i].sum())) for i in range(l2.size)]
     if sorted(prof1) != sorted(prof2):
         return None
-    order = sorted(range(l1.size), key=lambda i: prof1[i])
-    image = [-1] * l1.size
-    used = [False] * l2.size
-
-    def extend(k):
-        if k == len(order):
-            return True
-        i = order[k]
-        for j in range(l2.size):
-            if used[j] or prof1[i] != prof2[j]:
-                continue
-            good = True
-            for i2 in order[:k]:
-                j2 = image[i2]
-                if leq1[i, i2] != leq2[j, j2] or leq1[i2, i] != leq2[j2, j]:
-                    good = False
-                    break
-            if good:
-                image[i] = j
-                used[j] = True
-                if extend(k + 1):
-                    return True
-                image[i] = -1
-                used[j] = False
-        return False
-
-    if not extend(0):
-        return None
+    order = np.array(sorted(range(l1.size), key=lambda i: prof1[i]), dtype=np.intp)
+    cands = {}
+    for j, p in enumerate(prof2):
+        cands.setdefault(p, []).append(j)
+    cands = {p: np.array(js, dtype=np.intp) for p, js in cands.items()}
+    image = np.full(l1.size, -1, dtype=np.intp)
+    used = np.zeros(l2.size, dtype=bool)
+    # depth-first search on an explicit stack: nxt[k] is the position in its
+    # candidate list of the next image to try for order[k]
+    nxt = [0]
+    while nxt and len(nxt) <= len(order):
+        k = len(nxt) - 1
+        i, done = order[k], order[:k]
+        if image[i] != -1:  # back from a dead end: undo this point's choice
+            used[image[i]] = False
+            image[i] = -1
+        mapped, options = image[done], cands[prof1[i]][nxt[k]:]
+        fits = np.flatnonzero(
+            ~used[options]
+            & (leq2[options[:, None], mapped] == leq1[i, done]).all(axis=1)
+            & (leq2[mapped[:, None], options] == leq1[done, i][:, None]).all(axis=0))
+        if len(fits):
+            image[i] = options[fits[0]]
+            used[image[i]] = True
+            nxt[k] += int(fits[0]) + 1
+            nxt.append(0)
+        else:
+            nxt.pop()
     # a bijection preserving the order both ways is a lattice isomorphism
-    return image
+    return image.tolist() if nxt else None
