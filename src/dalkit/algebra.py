@@ -27,8 +27,8 @@ FVar) are resolved through the same maps, so quantifying an interpretation
 over metavariable names checks an axiom schema semantically.  Evaluation is
 the one table walker of ``syntax`` (``compile_term`` + ``run``) with the
 lattice-table op set below: ``evaluate_batch`` runs it over arrays of
-interpretations (and stacked P/F candidates), ``evaluate`` over a single
-one after checking that it covers every symbol.
+interpretations, ``evaluate`` over a single one after checking that it
+covers every symbol.
 """
 
 from __future__ import annotations
@@ -73,6 +73,12 @@ class DeonticAlgebra:
         if self._E is None:
             return np.where(np.asarray(x) == np.asarray(y), self.formula.top, self.formula.bot)
         return self._E[x, y]
+
+    def vP(self, x):
+        return self.P[x]
+
+    def vF(self, x):
+        return self.F[x]
 
     @property
     def crisp_equality(self) -> bool:
@@ -141,9 +147,10 @@ def build(action: HeytingAlgebra, formula: HeytingAlgebra, P, F, E=None) -> Deon
 # Evaluation
 # ---------------------------------------------------------------------------
 
-# Table semantics: values are lattice elements, ints or arrays of them; P and
-# F may carry a leading candidate axis, so atleast_1d keeps a letter-free
-# argument on the interpretation axis instead of that one.
+# Table semantics: values are lattice elements, ints or arrays of them.  Every
+# operation goes through env["D"], so anything with the same attributes can
+# stand in for a DeonticAlgebra (the Heyting search runs a chunk of catalog
+# pairs at once this way).
 _TABLE_OPS = {
     S.Basic: lambda env, name: env["acts"][name],
     S.Zero: lambda env, _: env["D"].action.bot,
@@ -154,8 +161,8 @@ _TABLE_OPS = {
     S.AImpl: lambda env, _, a, b: env["D"].action.vimpl(a, b),
     S.AVar: lambda env, name: env["acts"][name],
     S.Eq: lambda env, _, a, b: env["D"].vE(a, b),
-    S.Perm: lambda env, _, a: env["D"].P[..., np.atleast_1d(a)],
-    S.Forb: lambda env, _, a: env["D"].F[..., np.atleast_1d(a)],
+    S.Perm: lambda env, _, a: env["D"].vP(a),
+    S.Forb: lambda env, _, a: env["D"].vF(a),
     S.Prop: lambda env, name: env["props"][name],
     S.Or: lambda env, _, a, b: env["D"].formula.vjoin(a, b),
     S.And: lambda env, _, a, b: env["D"].formula.vmeet(a, b),

@@ -138,7 +138,7 @@ def _cmd_parse(args):
         t = S.parse_formula(args.text, variant, alphabet)
     except S.ParseError:
         t = S.parse_action(args.text, variant, alphabet)
-    print(S.print_term(t))
+    print(S.print_term(t, variant))
     return 0
 
 

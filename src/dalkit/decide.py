@@ -27,20 +27,32 @@ whose whole P x F product fits one ``algebra._COND_CHUNK`` block of the
 condition-3 filter: it is built the first time a search reaches the pair
 and then kept.  A larger pair is streamed block by block on every search
 and never stored.
+
+The search runs the compiled formula once per chunk of consecutive pairs,
+with the op set of ``algebra`` over a stand-in for the algebra.  Each
+catalog lays the algebras of each sort side by side in one table, so an
+operation on a chunk is one flat take.  The pairs' interpretations form a
+pairs x interpretations grid, on which the action subterms are evaluated
+once.  Below it, a pair gets one row per distinct reading of the maps the
+formula reads: a P map if it reads only ``perm``, an F map if only
+``forb``, one row if neither, and a (P, F) candidate if both.  The rows
+are in the order of the first candidate making each reading, so the first
+failing row gives the first failing candidate.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools as it
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import syntax as S
-from .algebra import (BudgetExceeded, DeonticAlgebra, Interpretation,
-                      _assignment_grid, _compiled, _pf_one_block, _pf_stacks,
-                      _run_table, evaluate)
+from .algebra import (BudgetExceeded, DeonticAlgebra, Interpretation, _compiled,
+                      _pf_one_block, _pf_stacks, _run_table, evaluate)
 from .lattice import heyting_catalog, powerset_algebra, two
 from .models import _MASK_OPS, DeonticModel, Valuation, _model_env
 from .syntax import LogicVariant as V
@@ -243,38 +255,240 @@ def _pair_stack(A, Fm):
                  for Ps, Fs, pi, fi in _pf_stacks(A, Fm))
 
 
+class _Sort:
+    """One side (action or formula) of a catalog's pairs: its distinct
+    algebras side by side, element i of the k-th having id k*m + i, m the
+    largest size, so an operation on two ids of one algebra is one flat take
+    at x*m + y.  Per pair: ``off``, the id of its element 0, ``size``, and
+    ``lo``/``hi``, the ids of its bot and top.  ``bounded(at)`` is a view
+    whose bot and top are those of the pairs at ``at``, for a chunk."""
+
+    def __init__(self, side):
+        index = {L: k for k, L in enumerate(dict.fromkeys(side))}   # lattices hash by identity
+        m = self.m = max(L.size for L in index)
+        self.join, self.meet, self.impl = (np.zeros(len(index) * m * (m + 1), np.int32)
+                                           for _ in range(3))
+        self.compl = np.zeros(len(index) * m, np.int32)
+        for L, k in index.items():
+            off, x = k * m, np.arange(L.size)
+            at = (off + x[:, None]) * m + off + x
+            for table, op in ((self.join, L.vjoin), (self.meet, L.vmeet), (self.impl, L.vimpl)):
+                table[at] = off + op(x[:, None], x)
+            self.compl[off + x] = off + L.vcompl(x)
+        self.off = np.array([index[L] * m for L in side], np.int32)
+        self.size = np.array([L.size for L in side], np.int32)
+        self.lo = self.off + [L.bot for L in side]
+        self.hi = self.off + [L.top for L in side]
+
+    def bounded(self, at):
+        view = copy.copy(self)
+        view.bot, view.top = self.lo[at, None], self.hi[at, None]
+        return view
+
+    def vjoin(self, x, y):
+        return self.join.take(x * self.m + y)
+
+    def vmeet(self, x, y):
+        return self.meet.take(x * self.m + y)
+
+    def vimpl(self, x, y):
+        return self.impl.take(x * self.m + y)
+
+    def vcompl(self, x):
+        return self.compl.take(x)
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(pairs):
+    """The action and the formula _Sort of a catalog, built once per catalog."""
+    return tuple(_Sort(side) for side in zip(*pairs))
+
+
+class _Chunk:
+    """Stands in for a DeonticAlgebra in _TABLE_OPS over a chunk of catalog
+    pairs.  Action values live on the chunk's pairs x interpretations grid,
+    formula values on its rows x interpretations grid; ``pair_row`` gives
+    the pairs-grid row of each row, and ``pshift``/``fshift`` take an action
+    id there to the entry of the row's own map in P/F."""
+
+    def __init__(self, action, formula, pair_row, P, pshift, F, fshift):
+        self.action, self.formula, self.pair_row = action, formula, pair_row
+        self.P, self.pshift, self.F, self.fshift = P, pshift, F, fshift
+
+    def vE(self, x, y):
+        return np.where((x == y).take(self.pair_row, axis=0), self.formula.top, self.formula.bot)
+
+    def vP(self, x):
+        return self.P.take(x.take(self.pair_row, axis=0) + self.pshift)
+
+    def vF(self, x):
+        return self.F.take(x.take(self.pair_row, axis=0) + self.fshift)
+
+
+class _Unit(NamedTuple):
+    """A block's first m candidates, those the budget admits, and the rows
+    that stand for them: per row the index of its P map and of its F map,
+    None for a map the formula does not read."""
+    k: int              # the pair's position in the catalog
+    Ps: np.ndarray
+    Fs: np.ndarray
+    pi: np.ndarray
+    fi: np.ndarray
+    m: int
+    base: int           # candidates tried before the block
+    prow: np.ndarray | None
+    frow: np.ndarray | None
+    nrows: int
+
+
+def _rows(pi, fi, m, nF, reads_p, reads_f):
+    """(prow, frow, rows) for a block's first m candidates: one row per
+    distinct reading of the maps the formula reads, in the order of the
+    first candidate making it.  Every P map of a block pairs with the F map
+    that is bot off 0, and pi is sorted, so the candidates read the P maps
+    pi[0]..pi[m-1], first in that order."""
+    if reads_p and reads_f:
+        return pi[:m], fi[:m], m
+    if reads_p:
+        prow = np.arange(pi[0], pi[m - 1] + 1)
+        return prow, None, len(prow)
+    if not reads_f:
+        return None, None, 1
+    if m >= nF and pi[nF - 1] == pi[0]:   # the first P map pairs with every F map, in order
+        frow = np.arange(nF)
+    else:
+        keys, first = np.unique(fi[:m], return_index=True)
+        frow = keys[np.argsort(first)]
+    return None, frow, len(frow)
+
+
+def _read(pieces, side, ks, at, asort, fsort):
+    """(maps, shift) for the P (side 0) or F (side 1) maps of a chunk whose
+    pieces are of the pairs ``ks`` and whose rows are of the pairs ``at``:
+    the maps of the pieces side by side in formula ids, and per row the
+    shift that takes an action id to the entry of the row's map."""
+    rows = [(u.prow, u.frow)[side][r0:r1] for u, r0, r1 in pieces]
+    tables = [(u.Ps, u.Fs)[side] for u, _, _ in pieces]
+    sizes = np.array([t.size for t in tables])
+    shift = np.concatenate(rows) * asort.size[at] \
+        + (np.cumsum(sizes) - sizes).repeat([len(r) for r in rows]) - asort.off[at]
+    maps = np.concatenate([t.ravel() for t in tables]) + fsort.off[ks].repeat(sizes)
+    return maps, shift.astype(np.int32)[:, None]
+
+
+def _run_chunk(pieces, asort, fsort, table, acts, props, holds):
+    """Run the table once over the pieces (unit, r0, r1), rows r0..r1-1 of
+    each unit, and return (unit, candidate, interpretation) at the first
+    hit, or None.  The grids are as wide as the largest interpretation count
+    among the pairs; a pair's grid row runs on past its own count in the
+    same digit order, which only repeats its interpretations, so the first
+    hit in a row is never in that tail."""
+    k0 = pieces[0][0].k
+    pairs = slice(k0, pieces[-1][0].k + 1)   # consecutive: every pair has a candidate
+    period = (asort.size[pairs].astype(np.int64) ** len(acts)
+              * fsort.size[pairs].astype(np.int64) ** len(props))
+    col = np.arange(int(period.max()), dtype=np.int32)   # int32 like the tables; a wider grid raises here
+    period = period.astype(np.int32)
+    assign = {}
+    for names, sort in ((acts, asort), (props, fsort)):
+        size = sort.size[pairs]
+        for name in names:   # the first name most significant, as in _assignment_grid
+            period = period // size
+            assign[name] = col // period[:, None] % size[:, None] + sort.off[pairs, None]
+    ks = np.array([u.k for u, _, _ in pieces])
+    at = ks.repeat([r1 - r0 for _, r0, r1 in pieces])   # the catalog pair of each row
+    formula = fsort.bounded(at)
+    u = pieces[0][0]
+    P, pshift = (None, None) if u.prow is None else _read(pieces, 0, ks, at, asort, fsort)
+    F, fshift = (None, None) if u.frow is None else _read(pieces, 1, ks, at, asort, fsort)
+    D = _Chunk(asort.bounded(pairs), formula, at - k0, P, pshift, F, fshift)
+    value = _run_table(D, assign, {q: assign[q].take(D.pair_row, axis=0) for q in props}, table)
+    bad = value == formula.top if holds else value != formula.top
+    c = int(bad.argmax())
+    r, i = divmod(c, bad.shape[1])
+    if not bad[r, i]:
+        return None
+    for u, r0, r1 in pieces:   # the piece holding row r
+        if r < r1 - r0:
+            break
+        r -= r1 - r0
+    row = r0 + r
+    if u.prow is not None and u.frow is not None:   # the first candidate making the row
+        j = row
+    elif u.prow is not None:
+        j = int(np.searchsorted(u.pi[:u.m], u.prow[row]))
+    elif u.frow is not None:
+        j = int(np.argmax(u.fi[:u.m] == u.frow[row]))
+    else:
+        j = 0
+    g = u.k - k0
+    h = Interpretation(act={a: int(assign[a][g, i] - asort.off[u.k]) for a in acts},
+                       prop={q: int(assign[q][g, i] - fsort.off[u.k]) for q in props})
+    return u, j, h
+
+
 _CAND_CHUNK = 1 << 20
 
 
-def _search(pairs, hit, acts, props, max_candidates, max_interps):
+def _search(pairs, table, holds, max_candidates, max_interps):
     """(algebra, interpretation, candidates tried) at the first cell, in
-    countermodel_heyting's order, where ``hit(D, assign)`` holds; D stacks c
-    P/F candidates as (c, |A|) arrays, hit gives booleans broadcastable to
-    (c, interpretations).  No algebra if the pairs or max_candidates run out."""
+    countermodel_heyting's order, where the formula compiled in ``table``
+    holds (is top) or fails, as ``holds`` says; no algebra if the pairs or
+    max_candidates run out.  Consecutive blocks are packed into chunks of at
+    most _CAND_CHUNK rows x interpretations cells, each one run of the
+    table.  A chunk is run before the search streams a pair's maps and
+    right after it builds or streams them, so a search stopped early builds
+    at most one stack past the pair it stops in; on a warm cache a whole
+    catalog that fits is one chunk."""
     if max_candidates < 0 or max_interps < 0:
         raise ValueError("budgets must be non-negative")
-    tried = 0
-    for A, Fm in pairs:
-        grid = None
+    acts, props = S.table_names(table, S.Basic), S.table_names(table, S.Prop)
+    classes = {row[0] for row in table}
+    reads = S.Perm in classes, S.Forb in classes
+    asort, fsort = _layout(pairs)
+    pieces, height, width, tried = [], 0, 1, 0
+
+    def flush():
+        nonlocal pieces, height, width
+        found = _run_chunk(pieces, asort, fsort, table, acts, props, holds) if pieces else None
+        pieces, height, width = [], 0, 1
+        if found:
+            u, j, h = found
+            return DeonticAlgebra(*pairs[u.k], u.Ps[u.pi[j]], u.Fs[u.fi[j]]), h, u.base + j + 1
+        return None
+
+    misses = _pair_stack.cache_info().misses
+    for k, (A, Fm) in enumerate(pairs):
+        interps = A.size ** len(acts) * Fm.size ** len(props)
         blocks = _pair_stack(A, Fm)
+        built = misses != (misses := _pair_stack.cache_info().misses)
+        if blocks is None and (found := flush()):
+            return found
         for Ps, Fs, pi, fi in _pf_stacks(A, Fm) if blocks is None else blocks:
-            n, pi, fi = len(pi), pi[:max_candidates - tried], fi[:max_candidates - tried]
-            if len(pi):
-                assign, total = grid = grid or _assignment_grid(
-                    DeonticAlgebra(A, Fm, Ps, Fs), acts, props, max_interps)
-                step = max(1, _CAND_CHUNK // total)
-                for c0 in range(0, len(pi), step):
-                    D = DeonticAlgebra(A, Fm, Ps[pi[c0:c0 + step]], Fs[fi[c0:c0 + step]])
-                    cells = np.flatnonzero(np.broadcast_to(hit(D, assign), (len(D.P), total)))
-                    if len(cells):
-                        c, r = divmod(int(cells[0]), total)
-                        h = Interpretation(act={a: int(assign[a][r]) for a in acts},
-                                           prop={p: int(assign[p][r]) for p in props})
-                        return DeonticAlgebra(A, Fm, D.P[c], D.F[c]), h, tried + c0 + c + 1
-            tried += n
+            m = min(len(pi), max_candidates - tried)
+            if m > 0:
+                if interps > max_interps:
+                    if found := flush():
+                        return found
+                    raise BudgetExceeded(f"{interps} interpretations exceed the budget of {max_interps}")
+                unit = _Unit(k, Ps, Fs, pi, fi, m, tried, *_rows(pi, fi, m, len(Fs), *reads))
+                r0 = 0
+                while r0 < unit.nrows:
+                    room = _CAND_CHUNK // max(width, interps) - height
+                    if room < 1 and pieces:
+                        if found := flush():
+                            return found
+                        continue
+                    r1 = min(unit.nrows, r0 + max(1, room))
+                    pieces.append((unit, r0, r1))
+                    height, width = height + r1 - r0, max(width, interps)
+                    r0 = r1
+            tried += len(pi)
             if tried > max_candidates:
-                return None, None, tried
-    return None, None, tried
+                return flush() or (None, None, tried)
+        if (built or blocks is None) and (found := flush()):
+            return found
+    return flush() or (None, None, tried)
 
 
 def countermodel_heyting(phi: S.FormulaTerm, variant: V,
@@ -287,19 +501,21 @@ def countermodel_heyting(phi: S.FormulaTerm, variant: V,
     interpretation, or Unknown (budget exhausted or catalog exhausted).  The
     countermodel is the first in catalog pair order, then P-major/F-minor
     over join-irreducible values, then interpretation grid order, and is
-    re-verified by the scalar evaluator.  A pair's candidates are evaluated
-    together, in chunks of at most ``_CAND_CHUNK`` candidate-interpretation
-    cells.  The valid P/F maps of a pair that fits one ``_COND_CHUNK`` block
-    are built once per process, when a search first reaches the pair, and
-    reused by every later search; larger pairs are rebuilt, block by block,
-    each time.  Negative budgets raise ValueError.
+    re-verified by the scalar evaluator.  Consecutive pairs are evaluated
+    together, in chunks of at most ``_CAND_CHUNK`` row-interpretation cells,
+    with one row per distinct reading of the P and F maps the formula reads
+    (see the module docstring).  The valid P/F maps of a pair that fits one
+    ``_COND_CHUNK`` block are built once per process, when a search first
+    reaches the pair, and reused by every later search; larger pairs are
+    rebuilt, block by block, each time.  A search evaluates what it has
+    gathered before it streams a pair and after it builds or streams one,
+    so on a cold cache it goes pair by pair and on a warm one a whole
+    catalog can be one chunk.  Negative budgets raise ValueError.
     """
     table = _compiled(phi)   # evaluate's re-verification finds it compiled
-    acts, props = S.table_names(table, S.Basic), S.table_names(table, S.Prop)
     try:
-        D, h, tried = _search(_catalog_pairs(variant, max_points),
-                              lambda D, assign: _run_table(D, assign, assign, table) != D.formula.top,
-                              acts, props, max_candidates, max_interps)
+        D, h, tried = _search(_catalog_pairs(variant, max_points), table, False,
+                              max_candidates, max_interps)
     except BudgetExceeded as e:
         return Unknown(str(e))
     if D is None:
@@ -318,9 +534,7 @@ def fence_scenario_search(max_candidates: int = 200):
              "isfenced == 1",
              "ispaintedwhite + isfenced == isfenced")
     conj = functools.reduce(S.And, (S.parse_formula(t, V.DAL_PROP) for t in texts))
-    table = S.compile_term(conj)
-    D, h, _ = _search(_fence_pairs(), lambda D, assign: _run_table(D, assign, assign, table) == D.formula.top,
-                      S.table_names(table, S.Basic), [], max_candidates, 1 << 16)
+    D, h, _ = _search(_fence_pairs(), S.compile_term(conj), True, max_candidates, 1 << 16)
     if D is None:
         raise BudgetExceeded(f"no fence witness within {max_candidates} candidates")
     return D, h

@@ -349,5 +349,5 @@ def write_proof(p: P.Proof) -> str:
             j = f"mp {just.i} {just.j}"
         else:
             j = just.id
-        out.append(f"{k}: {S.print_formula(phi)}   [{j}]")
+        out.append(f"{k}: {S.print_formula(phi, p.variant)}   [{j}]")
     return "\n".join(out) + "\n"

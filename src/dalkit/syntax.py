@@ -391,16 +391,18 @@ class _Parser:
 
     def formula_atom(self) -> FormulaTerm:
         kind, tok, pos = self.peek()
-        # an equality atom starts with an action term; try that first
+        # an equality atom starts with an action term, so try that first,
+        # unless at a keyword, with which no action term starts
         start = self.i
-        try:
-            lhs = self.action()
-            if self.peek()[1] == "==":
-                self.next()
-                return Eq(lhs, self.action())
-            self.i = start
-        except ParseError:
-            self.i = start
+        if kind != "kw":
+            try:
+                lhs = self.action()
+                if self.peek()[1] == "==":
+                    self.next()
+                    return Eq(lhs, self.action())
+                self.i = start
+            except ParseError:
+                self.i = start
         if tok in ("perm", "forb", "obl"):
             self.next()
             self.expect("(")
@@ -614,7 +616,21 @@ _PRINT = {
 }
 
 
-def print_term(t: Term) -> str:
+def _implication(table, row, primitive):
+    """(a, b) if the row is a -> b as the parser builds it: Impl(a, b) where
+    implication is primitive, Or(Not(a), b) where it is not."""
+    cls, _, kids, _ = table[row]
+    if primitive:
+        return kids if cls is Impl else None
+    if cls is Or and table[kids[0]][0] is Not:
+        return table[kids[0]][2][0], kids[1]
+    return None
+
+
+def print_term(t: Term, variant: LogicVariant = LogicVariant.DAL) -> str:
+    """The term as text.  A conjunction that is the variant's own expansion
+    of p <-> q prints as p <-> q, which the parser reads back under that
+    variant as the same term, so a chain of them prints in linear size."""
     table = compile_term(t)
     out, todo = [], [(len(table) - 1, 0)]
     while todo:
@@ -623,6 +639,10 @@ def print_term(t: Term) -> str:
             out.append(item)
             continue
         cls, name, kids, _ = table[item[0]]
+        if cls is And and table[kids[0]][0] is table[kids[1]][0]:
+            sides = _implication(table, kids[0], variant.primitive_impl)
+            if sides and sides[::-1] == _implication(table, kids[1], variant.primitive_impl):
+                cls, kids = Iff, sides
         own, pieces = _PRINT[cls]
         parts = [name if p is None else p if isinstance(p, str) else (kids[p[0]], p[1])
                  for p in pieces]

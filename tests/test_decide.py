@@ -282,11 +282,14 @@ def _chunks(monkeypatch, cand=None, cond=None):
 
 def _agree(monkeypatch, phi, variant, small_chunks=True, **kw):
     """The engine gives the reference's verdict, reason and countermodel at
-    its own chunk sizes and, unless told not to, at one candidate per chunk
-    with the F maps of every pair split into blocks."""
+    its own chunk sizes, on the pair-stack cache as it finds it and again on
+    the cache that search warmed (where the pairs it reached share chunks),
+    and, unless told not to, at one candidate per chunk with the F maps of
+    every pair split into blocks."""
     want = _fingerprint(reference_countermodel(phi, variant, **kw))
-    got = countermodel_heyting(phi, variant, **kw)
-    assert _fingerprint(got) == want, (dk.print_formula(phi), variant, kw)
+    for _ in range(2):
+        got = countermodel_heyting(phi, variant, **kw)
+        assert _fingerprint(got) == want, (dk.print_formula(phi), variant, kw)
     if small_chunks:
         with _chunks(monkeypatch, cand=1, cond=128):
             assert _fingerprint(countermodel_heyting(phi, variant, **kw)) == want, \
@@ -345,6 +348,111 @@ def test_heyting_engine_matches_reference_on_budgets(monkeypatch):
         for budget in (first - 2, first - 1, first):
             res = _agree(monkeypatch, phi, V.DAL_IPL, max_candidates=budget)
             assert isinstance(res, Countermodel) == (budget == first), (text, budget)
+
+
+# Formulas by the maps they read, (perm, forb): the engine gives each read
+# set its own rows.  The last two of each list have propositions.
+READ_SETS = {
+    (True, False): ["perm(a) -> perm(a * b)", "perm(a) | !perm(a)", "!!perm(a + b) -> perm(b)",
+                    "p -> perm(a) | p", "(perm(a) -> p) | (p -> perm(a))"],
+    (False, True): ["forb(a) -> forb(a * b)", "forb(a) | !forb(a)", "!!obl(a) -> obl(a * b)",
+                    "p & forb(a) -> forb(a * b)", "forb(a) | !p"],
+    (False, False): ["a * ~a == 0", "a + ~a == 1", "a == b", "(a == b) | !(a == b)",
+                     "p | !p", "(a == 0) -> p -> p"],
+    (True, True): ["perm(a) & forb(a) -> a == 0", "perm(a) -> !forb(a)", "forb(b) -> perm(a) -> forb(b)",
+                   "p -> perm(a) | forb(a)", "perm(a) & p -> !forb(a) | p"],
+}
+
+
+def _reads(phi):
+    classes = {row[0] for row in S.compile_term(phi)}
+    return S.Perm in classes, S.Forb in classes
+
+
+@pytest.mark.parametrize("reads", list(READ_SETS), ids=["P", "F", "neither", "both"])
+def test_heyting_engine_matches_reference_by_read_set(monkeypatch, reads):
+    """Fixed and seeded random formulas of one read set, with and without
+    propositions, at 2 points whole and at 3 points under a budget that
+    stops inside a pair."""
+    rng = random.Random(f"reads:{reads}")
+    seen = set()
+    for variant in (V.DAL_IPL, V.DAL_IAL, V.DAL_INT):
+        phis = [dk.parse_formula(t, variant) for t in READ_SETS[reads]]
+        for props in ((), ("p",)):
+            while _reads(phi := random_formula(rng, rng.randint(1, 2), variant, props=props)) != reads:
+                pass
+            phis.append(phi)
+        for phi in phis:
+            assert _reads(phi) == reads, dk.print_formula(phi)
+            for kw in ({"max_points": 2}, {"max_points": 3, "max_candidates": 700}):
+                seen.add(type(want := _agree(monkeypatch, phi, variant, **kw)))
+                with _chunks(monkeypatch, cand=64):   # pairs split across chunks that hold several
+                    for _ in range(2):
+                        assert _fingerprint(countermodel_heyting(phi, variant, **kw)) == \
+                            _fingerprint(want), (dk.print_formula(phi), variant, kw, "chunk 64")
+    assert seen == {Countermodel, Unknown}
+
+
+def test_rows_are_the_distinct_readings_in_first_candidate_order(monkeypatch):
+    """The engine reports the first candidate reading the first failing row,
+    so a block's rows must be the distinct maps its first m candidates read,
+    in the order they are first read; checked on every block, also split."""
+    for cond in (None, 128):
+        with _chunks(monkeypatch, cond=cond):
+            for variant, points in ((V.DAL_IPL, 3), (V.DAL_IAL, 3), (V.DAL_INT, 2)):
+                for A, Fm in DC._catalog_pairs(variant, points):
+                    for Ps, Fs, pi, fi in AL._pf_stacks(A, Fm):
+                        for m in {len(pi), len(pi) // 3 + 1, 1}:
+                            for side, keys in ((0, pi[:m]), (1, fi[:m])):
+                                rows = DC._rows(pi, fi, m, len(Fs), side == 0, side == 1)
+                                _, first = np.unique(keys, return_index=True)
+                                assert list(rows[side]) == keys[np.sort(first)].tolist()
+                                assert rows[2] == len(first)
+
+
+def test_heyting_search_runs_the_pending_chunk_before_an_interpretation_budget(monkeypatch):
+    """Refuted in the second pair, while a later pair has more
+    interpretations than the budget: on a warm cache both are in one chunk."""
+    phi = dk.parse_formula("perm(a) | !perm(a)", V.DAL_IPL)
+    countermodel_heyting(dk.parse_formula(IPL_THEOREM, V.DAL_IPL), V.DAL_IPL, max_points=3)   # warm
+    assert isinstance(_agree(monkeypatch, phi, V.DAL_IPL, max_points=3, max_interps=3), Countermodel)
+    theorem = dk.parse_formula("perm(a) -> perm(a * a)", V.DAL_IPL)
+    assert _agree(monkeypatch, theorem, V.DAL_IPL, max_points=3, max_interps=3) == \
+        Unknown("4 interpretations exceed the budget of 3")
+
+
+def test_heyting_search_counts_the_candidates_up_to_the_hit():
+    """The count _search returns with a countermodel is the smallest
+    candidate budget that still finds it."""
+    for text, variant in (("perm(a) | !perm(a)", V.DAL_IPL), ("forb(a) | !forb(a)", V.DAL_INT),
+                          ("a + ~a == 1", V.DAL_IAL), ("p -> perm(a) | forb(a)", V.DAL_INT)):
+        phi = dk.parse_formula(text, variant)
+        _, _, tried = DC._search(DC._catalog_pairs(variant, 3), S.compile_term(phi), False, 10**6, 1 << 16)
+        assert isinstance(countermodel_heyting(phi, variant, max_points=3, max_candidates=tried),
+                          Countermodel)
+        assert countermodel_heyting(phi, variant, max_points=3, max_candidates=tried - 1) == \
+            Unknown(f"candidate budget of {tried - 1} algebras exhausted")
+
+
+def test_heyting_chunks_stay_within_the_cell_bound(monkeypatch):
+    """A chunk holds at most _CAND_CHUNK rows x interpretations cells, or
+    a single row."""
+    shapes = []
+    real = DC._run_chunk
+
+    def spy(pieces, asort, fsort, table, acts, props, holds):
+        width = max(asort.size[u.k] ** len(acts) * fsort.size[u.k] ** len(props) for u, _, _ in pieces)
+        shapes.append((sum(r1 - r0 for _, r0, r1 in pieces), width))
+        return real(pieces, asort, fsort, table, acts, props, holds)
+
+    monkeypatch.setattr(DC, "_run_chunk", spy)
+    with _chunks(monkeypatch, cand=64):
+        for text in (IPL_THEOREM, "p -> perm(a) | forb(b)", "p | !p"):
+            phi = dk.parse_formula(text, V.DAL_IPL)
+            for _ in range(2):
+                countermodel_heyting(phi, V.DAL_IPL, max_points=3)
+    assert max(rows for rows, _ in shapes) > 1
+    assert all(rows * width <= 64 or rows == 1 for rows, width in shapes)
 
 
 def test_heyting_search_rejects_negative_budgets():

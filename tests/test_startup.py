@@ -100,7 +100,7 @@ def test_cli_without_numpy(path):
         return
     # parse echoes the proof's first formula in canonical form, under its logic
     p = dk.read_proof(path.read_text())
-    text = dk.print_formula(p.lines[0][0])
+    text = dk.print_formula(p.lines[0][0], p.variant)
     alphabet = ["--alphabet", ",".join(p.alphabet)] if p.alphabet else []
     res = run_python("-m", "dalkit.cli", "parse", "--logic", p.variant.value,
                      *alphabet, text, bare=True)

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dalkit as dk
+import dalkit.syntax as S
 from dalkit.syntax import LogicVariant as V
 
 
@@ -124,6 +127,67 @@ def test_printer_output():
         assert dk.print_formula(dk.parse_formula(text, variant)) == want
 
 
+def test_printer_writes_the_iff_expansion_as_iff():
+    a, b = dk.Perm(dk.Basic("a")), dk.Perm(dk.Basic("b"))
+    ors = dk.And(dk.Or(dk.Not(a), b), dk.Or(dk.Not(b), a))
+    impls = dk.And(dk.Impl(a, b), dk.Impl(b, a))
+    assert dk.print_formula(ors) == dk.print_formula(ors, V.DAL_IAL) == "perm(a) <-> perm(b)"
+    assert dk.print_formula(impls, V.DAL_IPL) == dk.print_formula(impls, V.DAL_INT) == \
+        "perm(a) <-> perm(b)"
+    # the expansion of another variant: <-> would read back as a different term
+    for variant in (V.DAL_IPL, V.DAL_INT):
+        assert dk.print_formula(ors, variant) == "(!perm(a) | perm(b)) & (!perm(b) | perm(a))"
+    assert dk.print_formula(impls) == "(perm(a) -> perm(b)) & (perm(b) -> perm(a))"
+    # not an expansion the parser makes: the halves differ in kind or order
+    assert dk.print_formula(dk.And(dk.Impl(a, b), dk.Or(dk.Not(b), a)), V.DAL_IPL) == \
+        "(perm(a) -> perm(b)) & (!perm(b) | perm(a))"
+    assert dk.print_formula(dk.And(dk.Impl(a, b), dk.Impl(a, b)), V.DAL_IPL) == \
+        "(perm(a) -> perm(b)) & (perm(a) -> perm(b))"
+    assert dk.print_formula(dk.Not(impls), V.DAL_IPL) == "!(perm(a) <-> perm(b))"
+
+
+@pytest.mark.parametrize("variant", [V.DAL_PROP, V.DAL_IPL, V.DAL_IAL, V.DAL_INT])
+def test_printed_conjunctions_of_implications_read_back_as_themselves(variant):
+    for text in ("(!p | q) & (!q | p)", "(p -> q) & (q -> p)", "p <-> q"):
+        t = dk.parse_formula(text, variant)
+        assert dk.parse_formula(dk.print_formula(t, variant), variant) == t
+        proof = dk.Proof(variant, ((t, dk.Axiom("A1")),))
+        assert dk.read_proof(dk.write_proof(proof)) == proof
+
+
+@pytest.mark.parametrize("variant", [V.DAL, V.DAL_IPL])
+def test_iff_chains_print_in_linear_size(variant):
+    for text in ("perm(a) <-> perm(b) <-> perm(c)", "perm(a) <-> (perm(b) <-> perm(c))",
+                 "(a == b) <-> !perm(a) & (forb(b) <-> perm(1))"):
+        t = dk.parse_formula(text, variant)
+        assert dk.parse_formula(dk.print_formula(t, variant), variant) == t
+    for n in (2, 18, 3000):
+        text = " <-> ".join(["perm(a)"] * n)
+        t = dk.parse_formula(text, variant)
+        assert dk.print_formula(t, variant) == text
+        if n < 100:   # the dataclass == recurses
+            assert dk.parse_formula(text, variant) == t
+
+
+def test_formula_atom_tries_no_action_at_a_keyword(monkeypatch):
+    kinds = []
+    real = S._Parser.action
+
+    def spy(self):
+        kinds.append(self.peek()[0])
+        return real(self)
+
+    monkeypatch.setattr(S._Parser, "action", spy)
+    t = dk.parse_formula("perm(a) & forb(b) | obl(c) -> true & !false | a == b")
+    assert dk.print_formula(t) == "!(perm(a) & forb(b) | forb(~c)) | (true & !false | (a == b))"
+    assert "kw" not in kinds and kinds.count("ident") == 5
+    for text, message in (("perm", "expected '(', found 'end of input' (at position 4)"),
+                          ("true == 1", "unexpected trailing input '==' (at position 5)"),
+                          ("forb(a) +", "unexpected trailing input '+' (at position 8)")):
+        with pytest.raises(dk.ParseError, match=re.escape(message)):
+            dk.parse_formula(text)
+
+
 # -- printer round trips ------------------------------------------------------
 
 _acts = st.deferred(lambda: st.one_of(
@@ -161,6 +225,7 @@ _ipl_forms = st.deferred(lambda: st.one_of(
     st.builds(dk.Prop, st.sampled_from(["p", "q"])),
     st.builds(dk.Impl, _ipl_forms, _ipl_forms),
     st.builds(dk.Or, _ipl_forms, _ipl_forms),
+    st.builds(dk.And, _ipl_forms, _ipl_forms),
     st.builds(dk.Not, _ipl_forms),
 ))
 
@@ -168,4 +233,5 @@ _ipl_forms = st.deferred(lambda: st.one_of(
 @settings(max_examples=50, deadline=None)
 @given(_ipl_forms)
 def test_ipl_print_parse_roundtrip(t):
-    assert dk.parse_formula(dk.print_formula(t), V.DAL_IPL) == t
+    for variant in (V.DAL_IPL, V.DAL_INT):
+        assert dk.parse_formula(dk.print_formula(t, variant), variant) == t
