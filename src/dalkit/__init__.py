@@ -21,8 +21,7 @@ _EXPORTS = {
     "algebra": """DeonticAlgebra Interpretation act_eq_iff_form_eq build check_ndal
         enumerate_pf_maps evaluate evaluate_batch extend_by_irreducibles
         preimage_ideals satisfies subalgebra_check valid_formula_in valid_in""",
-    "decide": """AtomAssignment Countermodel Unknown Valid countermodel_heyting
-        decide_classical fence_scenario_search""",
+    "decide": "Unknown countermodel_heyting fence_scenario_search",
     "duality": "RoundTripReport round_trip_report stoneify to_algebra to_model",
     "formats": """AlgebraFile FormatError read_algebra read_model read_proof
         write_algebra write_model write_proof""",
@@ -31,7 +30,8 @@ _EXPORTS = {
         downset_algebra find_isomorphism free_boolean generated_sublattice
         heyting_catalog is_boolean is_congruence is_ideal powerset_algebra
         principal_ideal quotient sublattice_on two validate""",
-    "models": "DeonticModel Valuation extend sat taut_oracle",
+    "models": """AtomAssignment Countermodel DeonticModel Valid Valuation
+        decide_classical extend sat taut_oracle""",
     "proof": """Axiom AxiomSchema MP Proof ProofResult axiom_table check_proof
         match_schema""",
     "syntax": """AImpl And AVar Basic Bot BudgetExceeded Compl ConditionError Eq

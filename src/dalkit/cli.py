@@ -4,8 +4,8 @@ Exit codes: 0 = valid/true/accepted, 1 = invalid/false/countermodel found,
 2 = any input or usage error.  Countermodels print in the model file format
 so they can be fed back to eval-model.
 
-Each subcommand imports the modules it uses, so ``parse`` and
-``check-proof`` run without loading numpy.
+Each subcommand imports the modules it uses, so ``parse``,
+``check-proof``, ``decide`` and ``eval-model`` run without loading numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .syntax import LogicVariant
 
 if TYPE_CHECKING:
     from .algebra import DeonticAlgebra
-    from .decide import Countermodel
+    from .models import Countermodel
 
 _HEYTING = (LogicVariant.DAL_IPL, LogicVariant.DAL_IAL, LogicVariant.DAL_INT)
 
@@ -79,12 +79,6 @@ def _parse_interp(text, af: formats.AlgebraFile, phi, variant, *,
     return Interpretation(act=act, prop=prop)
 
 
-def _print_model_countermodel(cm: Countermodel):
-    print("countermodel:")
-    text = formats.write_model(cm.model, cm.valuation, cm.prop_val)
-    print("\n".join("  " + line for line in text.splitlines()))
-
-
 def _print_algebra_countermodel(cm: Countermodel):
     D = cm.algebra
     print(f"countermodel: {D.flavor} algebra, |A|={D.action.size}, |F|={D.formula.size}")
@@ -97,6 +91,9 @@ def _print_algebra_countermodel(cm: Countermodel):
         print(f"  {name} -> {formats._fname(D.formula, x)}")
 
 
+_DOT_COLORS = {"": "white", "P": "palegreen", "F": "lightcoral", "P,F": "khaki"}
+
+
 def dot_export(D: DeonticAlgebra | object) -> str:
     """Hasse diagram of an action lattice in DOT; P/F-top nodes tinted."""
     from .algebra import DeonticAlgebra
@@ -107,20 +104,11 @@ def dot_export(D: DeonticAlgebra | object) -> str:
     out = ["digraph lattice {", "  rankdir=BT;",
            '  node [shape=box, style=filled, fillcolor=white];']
     for i in range(lat.size):
-        marks, color = [], "white"
+        marks = ""
         if isinstance(D, DeonticAlgebra):
-            p = D.P[i] == top_f
-            f = D.F[i] == top_f
-            if p and f:
-                marks, color = ["P", "F"], "khaki"
-            elif p:
-                marks, color = ["P"], "palegreen"
-            elif f:
-                marks, color = ["F"], "lightcoral"
-        label = lat.element_name(i)
-        if marks:
-            label += " [" + ",".join(marks) + "]"
-        out.append(f'  n{i} [label="{label}", fillcolor="{color}"];')
+            marks = ",".join(tag for tag, vec in (("P", D.P), ("F", D.F)) if vec[i] == top_f)
+        label = lat.element_name(i) + (f" [{marks}]" if marks else "")
+        out.append(f'  n{i} [label="{label}", fillcolor="{_DOT_COLORS[marks]}"];')
     for a, b in lat.covers():
         out.append(f"  n{a} -> n{b};")
     out.append("}")
@@ -174,15 +162,16 @@ def _cmd_eval_algebra(args):
 
 
 def _cmd_decide(args):
-    from . import decide as DC
+    from .models import Valid, decide_classical
     variant = _variant(args)
     phi = S.parse_formula(args.formula, variant, _alphabet(args))
-    verdict = DC.decide_classical(phi, variant, _alphabet(args),
-                                  max_assignments=args.budget)
-    if isinstance(verdict, DC.Valid):
+    verdict = decide_classical(phi, variant, _alphabet(args), max_assignments=args.budget)
+    if isinstance(verdict, Valid):
         print("valid")
         return 0
-    _print_model_countermodel(verdict)
+    print("countermodel:")
+    text = formats.write_model(verdict.model, verdict.valuation, verdict.prop_val)
+    print("\n".join("  " + line for line in text.splitlines()))
     return 1
 
 
@@ -265,9 +254,8 @@ def _cmd_convert(args):
             M, v = formats.read_model(fh.read())
         D, h = to_algebra(M, v)
         D2, (aiso, fiso) = stoneify(D)
-        af = formats.AlgebraFile(
-            D2, f"powerset {' '.join(a for a in _powerset_atoms(D2))}",
-            "chain 2", {})
+        atoms = " ".join(D2.action.element_name(a).strip("{}") for a in D2.action.atoms())
+        af = formats.AlgebraFile(D2, f"powerset {atoms}", "chain 2", {})
         text = formats.write_algebra(af)
         for name in sorted(h.act):
             text += f"# interp {name} = {D2.action.element_name(int(aiso[h.act[name]]))}\n"
@@ -295,11 +283,6 @@ def _cmd_convert(args):
         print(formats.write_model(M, v), end="")
         return 0
     return _error("convert needs --to-algebra or --to-model")
-
-
-def _powerset_atoms(D):
-    lat = D.action
-    return [lat.element_name(a).strip("{}") for a in lat.atoms()]
 
 
 def _cmd_catalog(args):

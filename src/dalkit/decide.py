@@ -1,23 +1,8 @@
 """Validity decisions.
 
-Classical variants (DAL, DAL_PROP, NDAL1-5) are decided exactly: each
-Boolean atom over the occurring basic actions gets a status out of
-Empty/Permitted/Forbidden/Neutral, which determines everything a model can
-observe about a term's region (whether it is inside P, inside F, or empty),
-so enumerating the 4^(2^n) * 2^m assignments is a complete search.  The
-NDAL variants restrict the admissible assignments:
-
-  NDAL1  every basic action's region entirely permitted or forbidden
-  NDAL2  NDAL1, and the all-complements atom not neutral
-  NDAL3  NDAL1, and the all-complements atom empty
-  NDAL4  every non-empty atom permitted or forbidden
-  NDAL5  NDAL3 and NDAL4
-
-The admissible assignments of a letter count and variant form one status
-grid of live/P/F bitmasks, built once and cached.  The formula is compiled
-once and evaluated on chunks of its rows, in enumeration order, with the
-mask op set of ``models``, so the countermodel returned is the first in
-that order.
+The classical variants (DAL, DAL_PROP, NDAL1-5) are decided exactly by
+``models.decide_classical``, on bit-sliced Python ints and without numpy;
+this module re-exports it with its result types and status constants.
 
 The Heyting variants (DAL_IPL, DAL_IAL, DAL_INT) get a refutation-only
 search over catalog algebra pairs with all valid crisp-equality P/F maps;
@@ -44,8 +29,7 @@ from __future__ import annotations
 
 import copy
 import functools
-import itertools as it
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,164 +38,14 @@ from . import syntax as S
 from .algebra import (BudgetExceeded, DeonticAlgebra, Interpretation, _compiled,
                       _pf_one_block, _pf_stacks, _run_table, evaluate)
 from .lattice import heyting_catalog, powerset_algebra, two
-from .models import _MASK_OPS, DeonticModel, Valuation, _model_env
+from .models import (EMPTY, FORBIDDEN, NEUTRAL, PERMITTED, AtomAssignment,
+                     Countermodel, Valid, decide_classical)
 from .syntax import LogicVariant as V
-
-EMPTY, PERMITTED, FORBIDDEN, NEUTRAL = range(4)
-STATUS_NAMES = ("Empty", "Permitted", "Forbidden", "Neutral")
-
-
-@dataclass(frozen=True)
-class Valid:
-    pass
-
-
-@dataclass(frozen=True)
-class Countermodel:
-    model: DeonticModel | None = None
-    valuation: Valuation | None = None
-    prop_val: dict | None = None
-    algebra: DeonticAlgebra | None = None
-    interp: Interpretation | None = None
 
 
 @dataclass(frozen=True)
 class Unknown:
     reason: str
-
-
-@dataclass(frozen=True)
-class AtomAssignment:
-    """One point of the canonical search space: a status per Boolean atom
-    over `actions` (atom index = bitmask of positive actions) plus one
-    boolean per proposition."""
-    actions: tuple
-    statuses: tuple
-    prop_val: dict = field(default_factory=dict)
-
-    def induced_model(self):
-        elems = tuple(f"e{t}" for t, s in enumerate(self.statuses) if s != EMPTY)
-        permitted = {f"e{t}" for t, s in enumerate(self.statuses) if s == PERMITTED}
-        forbidden = {f"e{t}" for t, s in enumerate(self.statuses) if s == FORBIDDEN}
-        vmap = {a: {f"e{t}" for t, s in enumerate(self.statuses)
-                    if s != EMPTY and t >> i & 1}
-                for i, a in enumerate(self.actions)}
-        return DeonticModel(elems, permitted, forbidden), Valuation(vmap)
-
-
-_CLASSICAL = (V.DAL, V.DAL_PROP, V.NDAL1, V.NDAL2, V.NDAL3, V.NDAL4, V.NDAL5)
-_REGIONAL = (V.NDAL1, V.NDAL2, V.NDAL3, V.NDAL5)
-_GRID_ATOMS = 8         # atoms one cached status grid spans: at most 4^8 rows
-_CHUNK_ROWS = 1 << 14   # the largest evaluation chunk, in assignments
-_STATUS_BITS = np.array([[0, 1, 1, 1], [0, 1, 0, 0], [0, 0, 1, 0]])  # live/P/F per status
-
-
-def _statuses(variant, t):
-    """The statuses atom t may take under variant, in enumeration order."""
-    if t == 0 and variant in (V.NDAL3, V.NDAL5):
-        return (EMPTY,)
-    if variant in (V.NDAL4, V.NDAL5) or (t == 0 and variant is V.NDAL2):
-        return (EMPTY, PERMITTED, FORBIDDEN)
-    return (EMPTY, PERMITTED, FORBIDDEN, NEUTRAL)
-
-
-def _region_masks(n):
-    """Per basic action, the atoms (bitmask over 2^n) where it is positive."""
-    return [sum(1 << t for t in range(1 << n) if t >> i & 1) for i in range(n)]
-
-
-def _region_ok(regions, live, P, F):
-    """Rows where every region's non-empty atoms are all permitted or all forbidden."""
-    ok = np.ones(live.shape, bool)
-    for r in regions:
-        r = live & r
-        ok &= (r & ~P == 0) | (r & ~F == 0)
-    return ok
-
-
-@functools.lru_cache(maxsize=None)
-def _status_grid(n, lo, variant):
-    """(3, rows) live/P/F masks of the status tuples of atoms lo..2^n-1 in
-    it.product order, kept if their own atoms pass the region test; with
-    lo == 0 these are exactly the admissible assignments."""
-    grid, regions = np.zeros((3, 1), np.int16 if n <= 3 else np.int64), _region_masks(n)
-    for t in range(lo, 1 << n):
-        bits = (_STATUS_BITS[:, _statuses(variant, t)] << t).astype(grid.dtype)
-        grid = (grid[:, :, None] | bits[:, None, :]).reshape(3, -1)
-        if variant in _REGIONAL:   # a failing prefix fails in every extension
-            grid = grid[:, _region_ok(regions, *grid)]
-    return grid
-
-
-def decide_classical(phi: S.FormulaTerm, variant: V = V.DAL, alphabet=None,
-                     max_assignments: int = 1_000_000):
-    """Valid() or the first falsifying Countermodel in enumeration order:
-    atom statuses with atom 0 most significant, then propositions (False
-    first).  The formula is evaluated on chunks of one cached status grid
-    per letter count and variant, growing geometrically up to _CHUNK_ROWS
-    assignments; the countermodel is rebuilt from the first falsifying one
-    and re-verified at that point.  Over ``max_assignments`` assignments
-    (counted before admissibility) or 6+ letters raise BudgetExceeded, a
-    negative budget ValueError."""
-    if variant not in _CLASSICAL:
-        raise ValueError(f"{variant.value} is not decided classically")
-    if max_assignments < 0:
-        raise ValueError("budgets must be non-negative")
-    table = S.compile_term(phi)
-    letters, props = S.table_names(table, S.Basic), S.table_names(table, S.Prop)
-    if props and not variant.allows_props:
-        raise ValueError(f"propositions are not allowed under {variant.value}")
-    if variant.requires_alphabet and not alphabet:
-        raise ValueError(f"{variant.value} needs a declared finite alphabet")
-    if alphabet and (variant.requires_alphabet or variant is V.NDAL1):
-        for k, a in enumerate(alphabet):
-            if a in alphabet[:k]:
-                raise ValueError(f"letter {a!r} repeats in the declared alphabet")
-        missing = set(letters) - set(alphabet)
-        if missing:
-            raise ValueError(f"actions {sorted(missing)} outside the declared alphabet")
-        actions = tuple(alphabet)
-    else:
-        actions = letters
-    n, m = len(actions), len(props)
-    total = (4 ** (1 << n)) * (1 << m)
-    if total > max_assignments:
-        raise BudgetExceeded(f"{total} assignments exceed the budget of {max_assignments}")
-    if n > 5:
-        raise BudgetExceeded(f"{n} letters exceed the 64-bit status masks")
-    lo = max(0, (1 << n) - _GRID_ATOMS)   # atoms left of the grid: enumerated here
-    grid = _status_grid(n, lo, V.DAL if variant is V.DAL_PROP else variant)
-    regions = _region_masks(n)
-    valuations = np.arange(1 << m)   # first proposition most significant
-    prop_env = {p: valuations >> (m - 1 - j) & 1 == 1 for j, p in enumerate(props)}
-    rows, cap = grid.shape[1], max(1, _CHUNK_ROWS >> m)
-    size = min(64, cap)
-    for head in it.product(*(_statuses(variant, t) for t in range(lo))):
-        start = 0
-        while start < rows:
-            stop = min(start + size, rows)
-            size = min(4 * size, cap)
-            chunk = grid[:, start:stop]   # a view
-            if lo:
-                chunk = chunk | (_STATUS_BITS[:, head] << np.arange(lo)).sum(axis=1, keepdims=True)
-            live, P, F = chunk[:, :, None]   # status rows x proposition valuations
-            env = {"full": live, "P": P, "F": F, "props": prop_env,
-                   "acts": {a: live & r for a, r in zip(actions, regions)}}
-            bad = ~np.broadcast_to(S.run(table, _MASK_OPS, env), (stop - start, 1 << m))
-            if lo and variant in _REGIONAL:
-                bad &= _region_ok(regions, live, P, F)
-            hits = np.flatnonzero(bad)
-            if len(hits):
-                k, bits = divmod(int(hits[0]), 1 << m)
-                statuses = tuple(_STATUS_BITS.T.tolist().index([int(x) >> t & 1 for x in chunk[:, k]])
-                                 for t in range(1 << n))
-                pv = {p: bool(bits >> (m - 1 - j) & 1) for j, p in enumerate(props)}
-                M, v = AtomAssignment(actions, statuses, pv).induced_model()
-                if S.run(table, _MASK_OPS, _model_env(M, v, table, pv or None)):
-                    raise AssertionError("countermodel failed to re-verify")
-                return Countermodel(model=M, valuation=v, prop_val=pv)
-            start = stop
-    return Valid()
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ Proof (.prf):
 
 '#' starts a comment anywhere on a line; blank lines are skipped.
 
-The model and algebra readers and writers import numpy and the numeric
-modules when called, so reading and writing proofs needs neither.
+The algebra reader and writer import numpy and the numeric modules when
+called, so reading and writing proofs and models needs neither.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def write_model(M: DeonticModel, v: Valuation, prop_val=None) -> str:
     def ordered(subset):
         return " ".join(e for e in M.elements if e in subset)
 
-    out = [f"elements: {' '.join(M.elements)}",
+    out = [f"elements: {' '.join(M.elements)}".rstrip(),
            f"permitted: {ordered(M.permitted)}".rstrip(),
            f"forbidden: {ordered(M.forbidden)}".rstrip()]
     for name in sorted(v.map):
@@ -210,8 +210,7 @@ def read_algebra(text: str) -> AlgebraFile:
     action = formula = None
     action_spec = formula_spec = None
     named = {}
-    p_default = f_default = None
-    p_entries, f_entries, e_entries = [], [], []
+    defaults, entries, e_entries = {}, {"P": [], "F": []}, []
     for i, line in _lines(text):
         key, _, rest = line.partition(":")
         if _ and key.strip() in ("actions", "formulas"):
@@ -228,15 +227,10 @@ def read_algebra(text: str) -> AlgebraFile:
         lhs, rhs = lhs.strip(), rhs.strip()
         op, _, elem = lhs.partition(" ")
         elem = elem.strip()
-        if op in ("P", "F"):
-            target = p_entries if op == "P" else f_entries
-            if elem == "default":
-                if op == "P":
-                    p_default = (rhs, i)
-                else:
-                    f_default = (rhs, i)
-            else:
-                target.append((elem, rhs, i))
+        if op in ("P", "F") and elem == "default":
+            defaults[op] = (rhs, i)
+        elif op in ("P", "F"):
+            entries[op].append((elem, rhs, i))
         elif op == "E":
             a, b = _split_two_elems(elem, i)
             e_entries.append((a, b, rhs, i))
@@ -245,19 +239,18 @@ def read_algebra(text: str) -> AlgebraFile:
     if action is None or formula is None:
         raise FormatError(0, "need both 'actions:' and 'formulas:' lines")
 
-    def fill(default, entries, what):
+    def fill(what):
         vec = np.full(action.size, -1, dtype=np.int64)
-        if default is not None:
-            vec[:] = _felem(formula, default[0], default[1])
-        for elem, rhs, lineno in entries:
+        if what in defaults:
+            vec[:] = _felem(formula, *defaults[what])
+        for elem, rhs, lineno in entries[what]:
             vec[_aelem(action, elem, lineno)] = _felem(formula, rhs, lineno)
         if (vec < 0).any():
             missing = action.element_name(int(np.nonzero(vec < 0)[0][0]))
             raise FormatError(0, f"{what} is unspecified at {missing} (add a default)")
         return vec
 
-    Pv = fill(p_default, p_entries, "P")
-    Fv = fill(f_default, f_entries, "F")
+    Pv, Fv = fill("P"), fill("F")
     E = None
     if e_entries:
         E = np.where(np.eye(action.size, dtype=bool), formula.top, formula.bot)

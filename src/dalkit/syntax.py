@@ -56,22 +56,9 @@ class LogicVariant(Enum):
         return self in (LogicVariant.NDAL2, LogicVariant.NDAL3,
                         LogicVariant.NDAL4, LogicVariant.NDAL5)
 
-    @property
-    def action_boolean(self) -> bool:
-        """Action algebras are Boolean (else Heyting)."""
-        return self not in (LogicVariant.DAL_IAL, LogicVariant.DAL_INT)
-
-    @property
-    def formula_boolean(self) -> bool:
-        """Formula algebras are Boolean (else Heyting)."""
-        return self not in (LogicVariant.DAL_IPL, LogicVariant.DAL_INT)
-
 
 _PROP_VARIANTS = (LogicVariant.DAL_PROP, LogicVariant.DAL_IPL,
                   LogicVariant.DAL_IAL, LogicVariant.DAL_INT)
-
-_NDAL_VARIANTS = (LogicVariant.NDAL1, LogicVariant.NDAL2, LogicVariant.NDAL3,
-                  LogicVariant.NDAL4, LogicVariant.NDAL5)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +220,6 @@ class ConditionError(ValueError):
 # ---------------------------------------------------------------------------
 
 _KEYWORDS = ("perm", "forb", "obl", "true", "false")
-_IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<comment>#[^\n]*)"

@@ -138,6 +138,20 @@ def test_decide_countermodel_round_trips(tmp_path, capsys):
     assert main(["eval-model", "--model", str(p), "forb(a) | perm(a)"]) == 1
 
 
+def test_decide_false_prints_an_empty_model_that_reads_back(tmp_path, capsys):
+    assert main(["decide", "false"]) == 1
+    out = capsys.readouterr().out
+    assert out == "countermodel:\n  elements:\n  permitted:\n  forbidden:\n"
+    body = "".join(line[2:] + "\n" for line in out.splitlines()[1:])
+    M, v = dk.read_model(body)
+    assert (M.elements, M.permitted, M.forbidden, v.map) == ((), set(), set(), {})
+    p = tmp_path / "empty.dam"
+    p.write_text(body)
+    assert main(["eval-model", "--model", str(p), "false"]) == 1
+    assert main(["eval-model", "--model", str(p), "perm(1) & forb(1)"]) == 0
+    assert capsys.readouterr().out == "false\ntrue\n"
+
+
 def test_decide_respects_variant(capsys):
     assert main(["decide", "--logic", "ndal1", "forb(a) | perm(a)"]) == 0
     capsys.readouterr()

@@ -10,6 +10,7 @@ import pytest
 import dalkit as dk
 import dalkit.algebra as AL
 import dalkit.decide as DC
+import dalkit.models as MD
 import dalkit.syntax as S
 from dalkit.decide import (Countermodel, Unknown, Valid, countermodel_heyting,
                            decide_classical, fence_scenario_search)
@@ -580,7 +581,7 @@ def test_pair_stack_cache_never_stores_multi_block_pairs(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The status-grid classical decider against the per-assignment loop it replaced
+# The bit-sliced classical decider against a per-assignment loop
 # ---------------------------------------------------------------------------
 
 CLASSICAL = (V.DAL, V.DAL_PROP, V.NDAL1, V.NDAL2, V.NDAL3, V.NDAL4, V.NDAL5)
@@ -676,20 +677,19 @@ def _outcome(decide, *args, **kw):
         return "budget", str(e)
 
 
-def _agree_classical(monkeypatch, phi, variant, alphabet=None, grid_atoms=(), **kw):
-    """The grid decider gives the reference's whole verdict, first
-    countermodel included, at its own chunk size, at one row per chunk, at
-    one chunk for everything, and with cached grids over only `grid_atoms`
-    atoms (the rest enumerated status tuple by status tuple)."""
+def _agree_classical(monkeypatch, phi, variant, alphabet=None,
+                     slices=(4, 1 << 7, 1 << 62), **kw):
+    """The bit-sliced decider gives the reference's whole verdict, first
+    countermodel included, at its own slice size and at each of `slices`
+    rows per slice: by default one atom digit (or two proposition digits),
+    a mid value, and every assignment in one slice.  The digits left of
+    the slice are enumerated as heads."""
     want = _outcome(reference_decide_classical, phi, variant, alphabet, **kw)
-    settings = [{}, {"_CHUNK_ROWS": 1}, {"_CHUNK_ROWS": 1 << 30}]
-    settings += [{"_GRID_ATOMS": g} for g in grid_atoms]
-    for setting in settings:
+    for rows in (MD._SLICE_ROWS, *slices):
         with monkeypatch.context() as mp:
-            for name, value in setting.items():
-                mp.setattr(DC, name, value)
+            mp.setattr(MD, "_SLICE_ROWS", rows)
             got = _outcome(decide_classical, phi, variant, alphabet, **kw)
-        assert got == want, (dk.print_formula(phi), variant, alphabet, kw, setting)
+        assert got == want, (dk.print_formula(phi), variant, alphabet, kw, rows)
     return want
 
 
@@ -704,7 +704,7 @@ def test_classical_grid_matches_reference_on_random_formulas(monkeypatch):
             # DAL ignores the alphabet; NDAL1 takes its letters from the
             # formula when it has none
             alphabet = None if variant is V.NDAL1 and k % 4 == 0 else letters or ("a",)
-            res = _agree_classical(monkeypatch, phi, variant, alphabet, grid_atoms=(1,))
+            res = _agree_classical(monkeypatch, phi, variant, alphabet)
             seen.add(type(res))
     assert seen == {Valid, Countermodel}
 
@@ -719,10 +719,17 @@ def test_classical_grid_matches_reference_on_fixed_formulas(monkeypatch):
     texts += ["forb(a) | perm(a)", "forb(a + b) | perm(a + b)", "a + b == 1",
               "perm(~a * ~b) | forb(~a * ~b)", "perm(a * ~b) | forb(a * ~b)"]
     two_props = ["p -> q", "(p <-> !q) | forb(a)", "!p & q -> perm(a * b)"]
+    # the parser expands <-> and -> under the classical variants; built
+    # directly, they reach the decider's own Iff and Impl
+    a, b = dk.Basic("a"), dk.Basic("b")
+    built = [dk.Iff(dk.Perm(a), dk.Perm(a)), dk.Iff(dk.Perm(a), dk.Forb(b)),
+             dk.Impl(dk.Forb(a), dk.Perm(a)), dk.Impl(dk.Eq(a, dk.Zero()), dk.Perm(a))]
     for variant in CLASSICAL:
         for text in texts + (two_props if variant is V.DAL_PROP else []):
             phi = dk.parse_formula(text, variant, ("a", "b"))
-            _agree_classical(monkeypatch, phi, variant, ("a", "b"), grid_atoms=(0, 1))
+            _agree_classical(monkeypatch, phi, variant, ("a", "b"), slices=(1, 4, 1 << 7, 1 << 62))
+        for phi in built:
+            _agree_classical(monkeypatch, phi, variant, ("a", "b"))
 
 
 def test_classical_grid_matches_reference_on_three_letters(monkeypatch):
@@ -739,18 +746,34 @@ def test_classical_grid_matches_reference_on_three_letters(monkeypatch):
 
 
 def test_classical_grid_beyond_the_cached_atoms(monkeypatch):
-    """Four letters (16 atoms): the first 8 atoms are enumerated one status
-    tuple at a time; early countermodels come out as the reference's."""
+    """Four letters (16 atoms): the first 8 atoms are enumerated as heads;
+    early countermodels come out as the reference's.  One slice of all 4^16
+    rows would take 512 MB per value, so that setting is left out."""
     letters = ("a", "b", "c", "d")
     for variant, text in ((V.DAL, "perm(a * b * c * d)"), (V.DAL, "forb(a) | a * b == c"),
                           (V.NDAL1, "perm(a * b * c * d)"), (V.NDAL4, "forb(a) | perm(b)"),
                           (V.NDAL5, "forb(a) | perm(b)"), (V.DAL_PROP, "p -> perm(a * b * c * d)")):
         phi = dk.parse_formula(text, variant, letters)
-        res = _agree_classical(monkeypatch, phi, variant, letters, max_assignments=4**17)
+        res = _agree_classical(monkeypatch, phi, variant, letters, slices=(4, 1 << 7),
+                               max_assignments=4**17)
         assert isinstance(res, Countermodel)
     phi = dk.parse_formula("perm(a * b * c * d * e * f)")
     with pytest.raises(dk.BudgetExceeded, match="6 letters"):
         decide_classical(phi, V.DAL, max_assignments=4**64)
+
+
+def test_classical_heads_split_the_propositions(monkeypatch):
+    """Three propositions over one letter (bases 4, 4, 2, 2, 2): slices of 2
+    and 4 rows hold the last one or two propositions, so the earlier ones
+    are head digits after the atoms."""
+    texts = ["p & q -> r | perm(a)", "p -> q | r | a == 1", "!p & q & !r -> forb(a)",
+             "(p <-> q) | (q <-> r) | (p <-> r) | forb(a)", "p & !q & r -> a == 0"]
+    seen = set()
+    for text in texts:
+        phi = dk.parse_formula(text, V.DAL_PROP)
+        res = _agree_classical(monkeypatch, phi, V.DAL_PROP, slices=(2, 4, 1 << 7))
+        seen.add(type(res))
+    assert seen == {Valid, Countermodel}
 
 
 def test_classical_grid_matches_reference_on_budgets(monkeypatch):

@@ -1,7 +1,8 @@
 """Start-up surface: what `import dalkit` and the CLI load, and what they export.
 
-`parse` and `check-proof` must run without numpy.  The subprocess tests run
-`python -S` with only `src/` on the path, so numpy cannot be imported there.
+`parse`, `check-proof`, `decide` and `eval-model` must run without numpy.
+The subprocess tests run `python -S` with only `src/` on the path, so numpy
+cannot be imported there.
 """
 
 import os
@@ -69,6 +70,33 @@ def test_proof_modules_import_without_numpy():
         assert "numpy" not in sys.modules, sorted(sys.modules)
         """, bare=True)
     assert res.returncode == 0, res.stderr
+
+
+def test_models_import_without_numpy():
+    res = run_python("-c", """if True:
+        import sys
+        import dalkit.models
+        assert "numpy" not in sys.modules, sorted(sys.modules)
+        """, bare=True)
+    assert res.returncode == 0, res.stderr
+
+
+def test_decide_and_eval_model_without_numpy():
+    res = run_python("-m", "dalkit.cli", "decide", "perm(a + b) <-> perm(a) & perm(b)",
+                     bare=True)
+    assert (res.returncode, res.stdout, res.stderr) == (0, "valid\n", "")
+    res = run_python("-m", "dalkit.cli", "decide", "--logic", "ndal2", "--alphabet", "a,b",
+                     "perm(a) -> perm(b)", bare=True)
+    assert res.returncode == 1, res.stderr
+    want = dk.decide_classical(dk.parse_formula("perm(a) -> perm(b)", dk.LogicVariant.NDAL2),
+                               dk.LogicVariant.NDAL2, ("a", "b"))
+    model = "".join(line[2:] + "\n" for line in res.stdout.splitlines()[1:])
+    assert res.stdout.startswith("countermodel:\n")
+    assert dk.read_model(model) == (want.model, want.valuation)
+    weekend = str(SRC / "dalkit" / "data" / "weekend.dam")
+    for text, code, out in (("perm(a * ~b)", 0, "true\n"), ("perm(a)", 1, "false\n")):
+        res = run_python("-m", "dalkit.cli", "eval-model", "--model", weekend, text, bare=True)
+        assert (res.returncode, res.stdout, res.stderr) == (code, out, ""), text
 
 
 def expected_check(path):
