@@ -180,23 +180,9 @@ def _run_table(D: DeonticAlgebra, acts: dict, props: dict, table):
     return S.run(table, _TABLE_OPS, {"D": D, "acts": acts, "props": props})
 
 
-_last_compiled = (object(), None)
-
-
-def _compiled(t: S.Term):
-    """compile_term(t), remembered for the last term compiled here (by
-    identity, holding a reference to it): a caller evaluating one term many
-    times compiles it once."""
-    global _last_compiled
-    last = _last_compiled
-    if last[0] is not t:
-        last = _last_compiled = (t, S.compile_term(t))
-    return last[1]
-
-
 def evaluate(D: DeonticAlgebra, h: Interpretation, t: S.Term) -> int:
     """Value of a (desugared) term: an action element or a formula element."""
-    table = _compiled(t)
+    table = S.compile_term(t)
     for cls, name, _, _ in table:
         if cls in (S.Basic, S.AVar) and name not in h.act:
             raise KeyError(f"interpretation does not cover the basic action {name!r}")
@@ -207,7 +193,7 @@ def evaluate(D: DeonticAlgebra, h: Interpretation, t: S.Term) -> int:
 
 def evaluate_batch(D: DeonticAlgebra, assign: dict, t: S.Term):
     """Evaluate over numpy arrays of elements (one array per symbol name)."""
-    return _run_table(D, assign, assign, _compiled(t))
+    return _run_table(D, assign, assign, S.compile_term(t))
 
 
 def satisfies(D: DeonticAlgebra, h: Interpretation, lhs: S.Term, rhs: S.Term) -> bool:

@@ -121,11 +121,7 @@ def dot_export(D: DeonticAlgebra | object) -> str:
 
 def _cmd_parse(args):
     variant = _variant(args)
-    alphabet = _alphabet(args)
-    try:
-        t = S.parse_formula(args.text, variant, alphabet)
-    except S.ParseError:
-        t = S.parse_action(args.text, variant, alphabet)
+    t, _ = S._parse(args.text, variant, _alphabet(args))   # an action term or a formula
     print(S.print_term(t, variant))
     return 0
 

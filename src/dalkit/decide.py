@@ -35,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import syntax as S
-from .algebra import (BudgetExceeded, DeonticAlgebra, Interpretation, _compiled,
-                      _pf_one_block, _pf_stacks, _run_table, evaluate)
+from .algebra import (BudgetExceeded, DeonticAlgebra, Interpretation, _pf_one_block,
+                      _pf_stacks, _run_table, evaluate)
 from .lattice import heyting_catalog, powerset_algebra, two
 from .models import (EMPTY, FORBIDDEN, NEUTRAL, PERMITTED, AtomAssignment,
                      Countermodel, Valid, decide_classical)
@@ -346,7 +346,7 @@ def countermodel_heyting(phi: S.FormulaTerm, variant: V,
     so on a cold cache it goes pair by pair and on a warm one a whole
     catalog can be one chunk.  Negative budgets raise ValueError.
     """
-    table = _compiled(phi)   # evaluate's re-verification finds it compiled
+    table = S.compile_term(phi)   # kept on phi for evaluate's re-verification
     try:
         D, h, tried = _search(_catalog_pairs(variant, max_points), table, False,
                               max_candidates, max_interps)

@@ -5,22 +5,26 @@ basic action symbols) and formula terms (propositional connectives plus the
 deontic atoms perm/forb and action equality).  The concrete syntax is
 line-oriented and whitespace-insensitive; '#' starts a comment.
 
-Operator precedence, tightest to loosest:
+Operator precedence, tightest to loosest, on one scale:
 
-    actions:   ~   *   +   ~>
-    formulas:  !   &   |   ->  <->
+    ~   *   +   ~>   ==   !   &   |   ->  <->
 
-'->' and '~>' associate to the right, the remaining binary operators to the
-left.  ``obl(t)`` is an abbreviation for ``forb(~t)`` and never appears in the
-AST.  Under classical variants '->' and '<->' are sugar and are expanded by
-the parser; under DAL_IPL / DAL_INT implication is a primitive connective
-(and '<->' still expands to a conjunction of implications).
+The operands of '~' to '==' are action terms, those of '!' to '<->'
+formulas; an identifier is a basic action or a proposition as the operator
+that takes it requires.  '->' and '~>' associate to the right, '==' not at
+all, the remaining binary operators to the left.  ``obl(t)`` is an
+abbreviation for ``forb(~t)`` and never appears in the AST.  Under classical
+variants '->' and '<->' are sugar and are expanded by the parser; under
+DAL_IPL / DAL_INT implication is a primitive connective (and '<->' still
+expands to a conjunction of implications).  The parser is one loop over an
+operand stack and an operator stack; it hash-conses each node as it reduces
+it, so a parsed term comes with its compile_term table.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 
@@ -216,234 +220,188 @@ class ConditionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Parser: one operator-precedence loop (Pratt 1973) over an operand stack
+# and an operator stack, hash-consing each node as it reduces it
 # ---------------------------------------------------------------------------
 
-_KEYWORDS = ("perm", "forb", "obl", "true", "false")
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<comment>#[^\n]*)"
-    r"|(?P<op><->|->|~>|==|[~*+!&|()01])"
-    r"|(?P<ident>[a-z][a-zA-Z0-9_]*)"
-)
+# One findall scan.  Group 1 is the token, empty for whitespace and
+# comments; a one-character token that is no operator, atom, parenthesis
+# or letter is a bad character.
+_TOKEN_RE = re.compile(r"\s+|#.*|(<->|->|~>|==|[a-z][a-zA-Z0-9_]*|.)")
 
+# token: (precedence, associativity, class), tightest first.  The operands
+# of '~' to '==' are action terms, those of '!' to '<->' formulas.
+_EQ = 5
+_OPS = {"~": (9, "prefix", Compl), "*": (8, "left", Inter), "+": (7, "left", Union),
+        "~>": (6, "right", AImpl), "==": (_EQ, "none", Eq), "!": (4, "prefix", Not),
+        "&": (3, "left", And), "|": (2, "left", Or), "->": (1, "right", Impl),
+        "<->": (0, "left", Iff)}
+_ATOMS = {"0": Zero, "1": One, "true": Top, "false": Bot}
+# An operator-stack entry is (precedence, class, sort of its operands); an
+# open parenthesis, call or the root has precedence -1 and is never reduced.
+_ENTRY = {tok: (prec, cls, ActionTerm if prec >= _EQ else FormulaTerm)
+          for tok, (prec, _, cls) in _OPS.items()}
+_CALLS = {"perm": (-1, (Perm,), ActionTerm), "forb": (-1, (Forb,), ActionTerm),
+          "obl": (-1, (Compl, Forb), ActionTerm)}   # obl(t) is forb(~t)
+# after an operand: a binary operator first reduces the operators at or
+# above this bound; anything else ends the innermost parenthesis or the root
+_BOUND = {tok: prec + (assoc == "right") for tok, (prec, assoc, _) in _OPS.items()
+          if assoc != "prefix"}
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Return (kind, text, pos) triples; kind is 'op', 'ident', 'kw' or 'eof'."""
-    out = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        if m.lastgroup == "op":
-            out.append(("op", m.group(), i))
-        elif m.lastgroup == "ident":
-            word = m.group()
-            out.append(("kw" if word in _KEYWORDS else "ident", word, i))
-        i = m.end()
-    out.append(("eof", "", len(text)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Parser (recursive descent; one token of backtracking for '==' atoms)
-# ---------------------------------------------------------------------------
 
 def _expand_impl(variant: LogicVariant, left: FormulaTerm, right: FormulaTerm) -> FormulaTerm:
     """'->' as the variant reads it: primitive, or sugar for '!left | right'."""
     return Impl(left, right) if variant.primitive_impl else Or(Not(left), right)
 
 
-def _fold_right(parts: list, make):
-    t = parts.pop()
-    while parts:
-        t = make(parts.pop(), t)
-    return t
+def _fail(text: str, toks: list, k: int, message: str):
+    """Raise ParseError at token k, or at the first bad character if there
+    is one: token positions are only found here."""
+    at = [m.start(1) for m in _TOKEN_RE.finditer(text) if m.group(1)] + [len(text)]
+    for i, tok in enumerate(toks[:-1]):
+        if tok not in _OPS and tok not in _ATOMS and tok not in "()" and not "a" <= tok[0] <= "z":
+            raise ParseError(f"unexpected character {tok!r}", at[i])
+    raise ParseError(message, at[k])
 
 
-class _Parser:
-    def __init__(self, text: str, variant: LogicVariant, alphabet=None):
-        self.toks = _tokenize(text)
-        self.i = 0
-        self.variant = variant
-        self.alphabet = None if alphabet is None else frozenset(alphabet)
+def _parse(text: str, variant: LogicVariant = LogicVariant.DAL, alphabet=None, start=None):
+    """(term, its compile_term table) for text, a term of sort start:
+    ActionTerm, FormulaTerm, or None for either.  An identifier is read as
+    Basic or as Prop by the operator that takes it.  '->' and '<->' are
+    expanded as they are reduced, and the '!left' of a classical one as
+    soon as left is, so the rows come in the order interning the term gives."""
+    toks = [tok for tok in _TOKEN_RE.findall(text) if tok]
+    toks.append("")   # end of input
+    alphabet = None if alphabet is None else frozenset(alphabet)
+    primitive = variant.primitive_impl
+    rows, terms, index = [], [], {}
+    ops = [(-1, None, start or FormulaTerm)]   # the root, then operators, '(' and calls
+    vals = []   # rows, and ~k for the identifier at token k until an operator takes it
 
-    def peek(self):
-        return self.toks[self.i]
+    def node(cls, name, kids=()):
+        key = (cls, name, kids)
+        row = index.get(key)
+        if row is None:
+            row = index[key] = len(rows)
+            rows.append(key)
+            terms.append(cls(*[terms[k] for k in kids]) if name is None else cls(name))
+        return row
 
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
+    def leaf(v, cls):
+        name = toks[~v]
+        if cls is Basic and alphabet is not None and name not in alphabet:
+            _fail(text, toks, ~v, f"basic action {name!r} is not in the declared alphabet")
+        if cls is Prop and not variant.allows_props:
+            _fail(text, toks, ~v, f"proposition symbol {name!r} is not admitted under {variant.value}")
+        return node(cls, name)
 
-    def expect(self, text: str):
-        kind, tok, pos = self.next()
-        if tok != text:
-            raise ParseError(f"expected {text!r}, found {tok or 'end of input'!r}", pos)
+    def formula(v, k):
+        if v < 0:
+            return leaf(v, Prop)
+        if isinstance(terms[v], ActionTerm):   # an action term not followed by '=='
+            _fail(text, toks, k, f"expected '==', found {toks[k] or 'end of input'!r}")
+        return v
 
-    def fail_eof_or(self, what: str):
-        kind, tok, pos = self.peek()
-        found = "end of input" if kind == "eof" else repr(tok)
-        raise ParseError(f"expected {what}, found {found}", pos)
+    def impl(left, right):
+        return node(Impl, None, (left, right)) if primitive else \
+            node(Or, None, (node(Not, None, (left,)), right))
 
-    def prefixed(self, op: str, atom, make):
-        """atom() under a chain of prefix ops, counted in a loop."""
-        n = 0
-        while self.peek()[1] == op:
-            self.next()
-            n += 1
-        t = atom()
-        for _ in range(n):
-            t = make(t)
-        return t
+    def reduce(bound, k):
+        """Reduce the operators at or above bound; token k follows them."""
+        while ops[-1][0] >= bound:
+            _, cls, sort = ops.pop()
+            right = vals.pop()
+            if sort is FormulaTerm:
+                right = formula(right, k)
+            if cls is Compl or cls is Not:
+                vals.append(node(cls, None, (right,)))
+            elif cls is Impl:
+                vals[-1] = impl(vals[-1], right)
+            elif cls is Iff:
+                vals[-1] = node(And, None, (impl(vals[-1], right), impl(right, vals[-1])))
+            else:
+                vals[-1] = node(cls, None, (vals[-1], right))
 
-    # -- actions ------------------------------------------------------------
-
-    def action(self) -> ActionTerm:
-        parts = [self.action_union()]
-        while self.peek()[1] == "~>":
-            kind, tok, pos = self.next()
-            if not self.variant.allows_aimpl:
-                raise ParseError(
-                    f"action implication '~>' is not admitted under {self.variant.value}", pos)
-            parts.append(self.action_union())
-        return _fold_right(parts, AImpl)
-
-    def action_union(self) -> ActionTerm:
-        t = self.action_inter()
-        while self.peek()[1] == "+":
-            self.next()
-            t = Union(t, self.action_inter())
-        return t
-
-    def action_inter(self) -> ActionTerm:
-        t = self.prefixed("~", self.action_atom, Compl)
-        while self.peek()[1] == "*":
-            self.next()
-            t = Inter(t, self.prefixed("~", self.action_atom, Compl))
-        return t
-
-    def action_atom(self) -> ActionTerm:
-        kind, tok, pos = self.peek()
-        if tok == "0":
-            self.next()
-            return Zero()
-        if tok == "1":
-            self.next()
-            return One()
-        if tok == "(":
-            self.next()
-            t = self.action()
-            self.expect(")")
-            return t
-        if kind == "ident":
-            self.next()
-            if self.alphabet is not None and tok not in self.alphabet:
-                raise ParseError(f"basic action {tok!r} is not in the declared alphabet", pos)
-            return Basic(tok)
-        self.fail_eof_or("an action term")
-
-    # -- formulas -----------------------------------------------------------
-
-    def formula(self) -> FormulaTerm:
-        t = self.formula_impl()
-        while self.peek()[1] == "<->":
-            self.next()
-            rhs = self.formula_impl()
-            t = And(_expand_impl(self.variant, t, rhs), _expand_impl(self.variant, rhs, t))
-        return t
-
-    def formula_impl(self) -> FormulaTerm:
-        parts = [self.formula_or()]
-        while self.peek()[1] == "->":
-            self.next()
-            parts.append(self.formula_or())
-        return _fold_right(parts, lambda left, right: _expand_impl(self.variant, left, right))
-
-    def formula_or(self) -> FormulaTerm:
-        t = self.formula_and()
-        while self.peek()[1] == "|":
-            self.next()
-            t = Or(t, self.formula_and())
-        return t
-
-    def formula_and(self) -> FormulaTerm:
-        t = self.prefixed("!", self.formula_atom, Not)
-        while self.peek()[1] == "&":
-            self.next()
-            t = And(t, self.prefixed("!", self.formula_atom, Not))
-        return t
-
-    def formula_atom(self) -> FormulaTerm:
-        kind, tok, pos = self.peek()
-        # an equality atom starts with an action term, so try that first,
-        # unless at a keyword, with which no action term starts
-        start = self.i
-        if kind != "kw":
-            try:
-                lhs = self.action()
-                if self.peek()[1] == "==":
-                    self.next()
-                    return Eq(lhs, self.action())
-                self.i = start
-            except ParseError:
-                self.i = start
-        if tok in ("perm", "forb", "obl"):
-            self.next()
-            self.expect("(")
-            arg = self.action()
-            self.expect(")")
-            if tok == "perm":
-                return Perm(arg)
-            if tok == "forb":
-                return Forb(arg)
-            return Forb(Compl(arg))
-        if tok == "true":
-            self.next()
-            return Top()
-        if tok == "false":
-            self.next()
-            return Bot()
-        if tok == "(":
-            self.next()
-            t = self.formula()
-            self.expect(")")
-            return t
-        if kind == "ident":
-            self.next()
-            if not self.variant.allows_props:
-                raise ParseError(
-                    f"proposition symbol {tok!r} is not admitted under {self.variant.value}", pos)
-            return Prop(tok)
-        self.fail_eof_or("a formula")
-
-    def done(self):
-        kind, tok, pos = self.peek()
-        if kind != "eof":
-            raise ParseError(f"unexpected trailing input {tok!r}", pos)
-
-
-def _parse(text, variant, alphabet, start):
-    p = _Parser(text, variant, alphabet)
-    try:
-        t = start(p)
-    except RecursionError:   # only parentheses recurse
-        raise ParseError("input nested too deeply") from None
-    p.done()
-    return t
+    k = 0
+    while True:
+        # an operand: prefix operators and '(' up to an atom or an identifier
+        tok, sort = toks[k], ops[-1][2]
+        if tok == "~" or tok == "!" and sort is not ActionTerm:
+            ops.append(_ENTRY[tok])
+        elif tok == "(":
+            ops.append((-1, "(", sort))
+        elif tok in _CALLS and sort is not ActionTerm:
+            if toks[k + 1] != "(":
+                _fail(text, toks, k + 1, f"expected '(', found {toks[k + 1] or 'end of input'!r}")
+            ops.append(_CALLS[tok])
+            k += 1
+        else:
+            cls = _ATOMS.get(tok)
+            if cls is not None and (sort is not ActionTerm or cls is Zero or cls is One):
+                vals.append(node(cls, None))
+            elif "a" <= tok[:1] <= "z" and cls is None and tok not in _CALLS:
+                vals.append(leaf(~k, Basic) if sort is ActionTerm else ~k)
+            else:
+                what = "an action term" if sort is ActionTerm else "a formula"
+                _fail(text, toks, k, f"expected {what}, found {repr(tok) if tok else 'end of input'}")
+            # then binary operators and ')', up to the next operand
+            while True:
+                k += 1
+                tok = toks[k]
+                bound = _BOUND.get(tok)
+                if bound is not None:
+                    if ops[-1][0] >= bound:
+                        reduce(bound, k)
+                    prec, _, cls = _OPS[tok]
+                    left, sort = vals[-1], ops[-1][2]
+                    if prec < _EQ and sort is not ActionTerm:
+                        vals[-1] = left = formula(left, k)
+                        if (cls is Impl or cls is Iff) and not primitive:
+                            node(Not, None, (left,))
+                        break
+                    if prec >= _EQ and (left < 0 or isinstance(terms[left], ActionTerm)) and \
+                            not (cls is Eq and sort is ActionTerm):
+                        if cls is AImpl and not variant.allows_aimpl:
+                            _fail(text, toks, k,
+                                  f"action implication '~>' is not admitted under {variant.value}")
+                        if left < 0:
+                            vals[-1] = leaf(left, Basic)
+                        break
+                # a binary operator whose sorts do not fit here, ')' or anything else
+                # ends the innermost parenthesis or call, or the root
+                reduce(0, k)
+                closes = ops[-1][1]
+                if closes is None:
+                    root = vals.pop()
+                    if start is FormulaTerm:
+                        root = formula(root, k)
+                    elif root < 0:
+                        root = leaf(root, Prop if start is None and variant.allows_props else Basic)
+                    if tok:
+                        _fail(text, toks, k, f"unexpected trailing input {tok!r}")
+                    table = _with_dead(rows)
+                    object.__setattr__(terms[root], "_table", table)
+                    return terms[root], table
+                if tok != ")":
+                    _fail(text, toks, k, f"expected ')', found {tok or 'end of input'!r}")
+                ops.pop()
+                if closes != "(":
+                    for cls in closes:
+                        vals[-1] = node(cls, None, (vals[-1],))
+            ops.append(_ENTRY[tok])
+        k += 1
 
 
 def parse_action(text: str, variant: LogicVariant = LogicVariant.DAL,
                  alphabet=None) -> ActionTerm:
-    return _parse(text, variant, alphabet, _Parser.action)
+    return _parse(text, variant, alphabet, ActionTerm)[0]
 
 
 def parse_formula(text: str, variant: LogicVariant = LogicVariant.DAL,
                   alphabet=None) -> FormulaTerm:
     """Parse a formula under the given variant's gating rules; '<->' and,
     unless primitive, '->' are expanded as they are read."""
-    return _parse(text, variant, alphabet, _Parser.formula)
+    return _parse(text, variant, alphabet, FormulaTerm)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +410,7 @@ def parse_formula(text: str, variant: LogicVariant = LogicVariant.DAL,
 
 _TERMS = frozenset(ActionTerm.__subclasses__() + FormulaTerm.__subclasses__())
 _NAMED = frozenset((Basic, AVar, Prop, FVar))
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _TERMS}
 _CLOSE = object()   # stack marker: build the row of the node below it
 
 
@@ -474,7 +433,8 @@ class TermSpace:
             node = todo.pop()
             if node is _CLOSE:   # all children have rows now; a term's fields are its children
                 node = todo.pop()
-                key = (type(node), None, tuple([row_of[id(k)] for k in vars(node).values()]))
+                kids = tuple([row_of[id(getattr(node, f))] for f in _FIELDS[type(node)]])
+                key = (type(node), None, kids)
             else:
                 if id(node) in row_of:
                     continue
@@ -482,7 +442,7 @@ class TermSpace:
                 if cls not in _TERMS:
                     raise TypeError(f"not a term: {cls.__name__}")
                 if cls not in _NAMED:
-                    todo += (node, _CLOSE, *reversed(vars(node).values()))
+                    todo += (node, _CLOSE, *[getattr(node, f) for f in reversed(_FIELDS[cls])])
                     continue
                 key = (cls, node.name, ())
             row = index.setdefault(key, len(rows))
@@ -509,12 +469,30 @@ class TermSpace:
 
 def compile_term(t: Term) -> tuple:
     """The rows of t in a fresh TermSpace, the root last, each extended by
-    its dead rows: the children whose last use it is.  Built without recursion."""
-    space = TermSpace()
-    space.intern(t)
-    last = {k: row for row, (_, _, kids) in enumerate(space.rows) for k in kids}
-    return tuple([(*key, tuple({k for k in key[2] if last[k] == row}))
-                  for row, key in enumerate(space.rows)])
+    its dead rows: the children whose last use it is.  Built without
+    recursion, and kept on the immutable t, so a term is interned once; a
+    parsed term comes with the table its parser built."""
+    table = getattr(t, "_table", None)
+    if table is None:
+        space = TermSpace()
+        space.intern(t)
+        table = _with_dead(space.rows)
+        object.__setattr__(t, "_table", table)
+    return table
+
+
+def _with_dead(rows: list) -> tuple:
+    """The rows, each extended by the children whose last use it is."""
+    seen, out = set(), []
+    for key in reversed(rows):
+        dead = ()
+        for k in key[2]:
+            if k not in seen:
+                seen.add(k)
+                dead += (k,)
+        out.append((*key, dead))
+    out.reverse()
+    return tuple(out)
 
 
 def run(table: tuple, ops: dict, env):

@@ -203,14 +203,16 @@ def test_evaluate_compiles_a_repeated_term_once(monkeypatch):
     A = D.action
     h = dk.Interpretation(act={"a": A.index_of("{x}"), "b": A.index_of("{y}")})
     t, u = dk.parse_formula("perm(a * ~b) | (a == b)"), dk.parse_formula("forb(a * ~b) | (a == b)")
-    compiled = []
-    real = S.compile_term
-    monkeypatch.setattr(S, "compile_term", lambda x: compiled.append(x) or real(x))
-    for term, calls in ((t, [t]), (t, [t]), (u, [t, u]), (t, [t, u, t])):
+    v = dk.Or(dk.Perm(dk.Basic("a")), dk.Eq(dk.Basic("a"), dk.Basic("b")))   # built, not parsed
+    interned = []
+    real = S.TermSpace.intern
+    monkeypatch.setattr(S.TermSpace, "intern", lambda space, x: interned.append(x) or real(space, x))
+    # a parsed term comes with its table; a built one is interned on first use
+    for term, calls in ((t, []), (t, []), (v, [v]), (u, [v]), (v, [v]), (t, [v])):
         assert dk.evaluate(D, h, term) == reference_evaluate(D, h, term)
-        assert compiled == calls
-    batch = dk.evaluate_batch(D, {"a": np.arange(A.size), "b": np.zeros(A.size, int)}, t)
-    assert compiled == [t, u, t] and batch.shape == (A.size,)
+        assert interned == calls
+    batch = dk.evaluate_batch(D, {"a": np.arange(A.size), "b": np.zeros(A.size, int)}, v)
+    assert interned == [v] and batch.shape == (A.size,)
 
 
 def reference_evaluate(D, h, t):

@@ -42,6 +42,21 @@ def test_parse_error_is_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, out, err", [
+    (["perm(a) &"], "", "error: expected a formula, found end of input (at position 9)\n"),
+    (["p & q"], "", "error: proposition symbol 'p' is not admitted under dal (at position 0)\n"),
+    (["a + b"], "a + b\n", ""),
+    (["a"], "a\n", ""),
+    (["--logic", "dal_prop", "a"], "a\n", ""),
+    (["--logic", "dal_prop", "--alphabet", "a", "p"], "p\n", ""),   # a proposition
+    (["--logic", "ndal2", "--alphabet", "a", "p"], "",
+     "error: basic action 'p' is not in the declared alphabet (at position 0)\n"),
+])
+def test_parse_reads_either_sort_once(argv, out, err, capsys):
+    assert main(["parse", *argv]) == (2 if err else 0)
+    assert capsys.readouterr() == (out, err)
+
+
 def test_parse_variant_gating(capsys):
     assert main(["parse", "--logic", "dal", "a ~> b"]) == 2
     assert main(["parse", "--logic", "dal_ial", "a ~> b"]) == 0
@@ -177,14 +192,10 @@ def test_decide_budget(capsys):
                                   "perm(" + " + ".join(["a"] * 3000) + ")"],
                          ids=["3000-bangs", "300-parens", "3000-terms"])
 def test_deep_input_is_clean_error(command, text, capsys):
-    """Long prefix and operator chains get verdicts; parentheses, which the
-    parser reads recursively, give a clean input error when nested deeply."""
+    """Long prefix and operator chains and deep parentheses get verdicts:
+    the parser keeps open parentheses on a stack of its own."""
     rc = main([command, text])
-    err = capsys.readouterr().err
-    if text.startswith("("):
-        assert rc == 2 and err == "error: input nested too deeply\n"
-    else:
-        assert rc == (0 if command == "parse" else 1) and err == ""
+    assert rc == (0 if command == "parse" else 1) and capsys.readouterr().err == ""
 
 
 def test_countermodel_refutes(capsys):

@@ -1,5 +1,7 @@
 """The one term walker: compile_term tables, op-set coverage, deep input."""
 
+import re
+
 import pytest
 
 import dalkit as dk
@@ -37,6 +39,20 @@ def test_compile_term_rows_are_post_order_and_each_dies_once():
         assert all(k < i for k in kids) and set(dead) <= set(kids)
 
 
+def test_compile_term_keeps_its_table_on_the_term():
+    phi = dk.parse_formula("perm(a + b) <-> perm(a) & perm(b)")
+    assert "_table" in vars(phi)   # the parser's own rows
+    assert S.compile_term(phi) is S.compile_term(phi)
+    built = dk.Or(dk.Perm(dk.Basic("a")), dk.Not(dk.Perm(dk.Basic("a"))))
+    assert S.compile_term(built) is S.compile_term(built)
+    # a kept table is no child: the term interns as an equal term without one
+    bare = S.desugar(phi, V.DAL)
+    assert bare == phi and "_table" not in vars(bare)
+    space = S.TermSpace()
+    assert space.intern(phi) == space.intern(bare) == len(S.compile_term(phi)) - 1
+    assert tuple(row[:3] for row in S.compile_term(phi)) == tuple(space.rows)
+
+
 def test_compile_term_rejects_non_terms():
     with pytest.raises(TypeError):
         S.compile_term(dk.Perm("a"))
@@ -62,11 +78,14 @@ def test_deep_terms_walk_without_recursion(text):
     assert dk.evaluate(D, dk.Interpretation(act={"a": 1}), phi) == D.formula.bot
 
 
-def test_deep_parentheses_are_a_parse_error():
-    with pytest.raises(dk.ParseError, match="^input nested too deeply$"):
-        dk.parse_formula("(" * 300 + "perm(a)" + ")" * 300)
-    with pytest.raises(dk.ParseError, match="^input nested too deeply$"):
-        dk.parse_action("(" * DEEP + "a" + ")" * DEEP, V.DAL_IAL)
+def test_deep_parentheses_parse():
+    """Open parentheses wait on the parser's operator stack, not the call stack."""
+    assert dk.parse_formula("(" * 300 + "perm(a)" + ")" * 300) == dk.Perm(dk.Basic("a"))
+    n = 10 * DEEP
+    assert dk.parse_formula("(" * n + "perm(a)" + ")" * n) == dk.Perm(dk.Basic("a"))
+    assert dk.parse_action("(" * n + "a" + ")" * n, V.DAL_IAL) == dk.Basic("a")
+    with pytest.raises(dk.ParseError, match=re.escape(f"found 'end of input' (at position {2 * n + 6})")):
+        dk.parse_formula("(" * n + "perm(a)" + ")" * (n - 1))
     # right-associative chains are read with loops
     chain = dk.parse_action(" ~> ".join(["a"] * DEEP), V.DAL_IAL)
     assert dk.print_action(chain).count("~>") == DEEP - 1
