@@ -7,9 +7,10 @@ classical variants, bounded countermodel search for the intuitionistic
 ones, and conversions between models and concrete algebras.
 
 The package imports its submodules on first use (PEP 562), so
-``import dalkit`` alone loads neither numpy nor the numeric modules:
-``dalkit.parse_formula`` loads ``syntax`` only, ``dalkit.lattice`` or
-``dalkit.heyting_catalog`` loads ``lattice`` and numpy.
+``import dalkit`` alone loads no submodule: ``dalkit.parse_formula`` loads
+``syntax`` only, ``dalkit.heyting_catalog`` loads ``lattice``.  Only
+``decide`` imports numpy when it loads; the array paths of ``algebra`` and
+``models`` import it when called.
 """
 
 import importlib

@@ -26,20 +26,22 @@ elements and propositions to formula elements.  Schema metavariables (AVar /
 FVar) are resolved through the same maps, so quantifying an interpretation
 over metavariable names checks an axiom schema semantically.  Evaluation is
 the one table walker of ``syntax`` (``compile_term`` + ``run``) with the
-lattice-table op set below: ``evaluate_batch`` runs it over arrays of
-interpretations, ``evaluate`` over a single one after checking that it
-covers every symbol.
+one op set below.  ``evaluate`` runs it on the algebra itself, over one
+interpretation that covers every symbol, with no numpy.  ``evaluate_batch``,
+``valid_in`` and ``act_eq_iff_form_eq`` run it over numpy arrays of
+interpretations, on numpy copies of the tables (``_arrays``, once per
+algebra); they and the P/F enumeration import numpy when called.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import eq
 
 from . import syntax as S
-from .lattice import (BooleanAlgebra, HeytingAlgebra, _first_failure, is_boolean,
-                      is_ideal)
+from .lattice import (HeytingAlgebra, PowersetAlgebra, _first_failure,
+                      _gather, _lookup, _pointwise, _Table, is_boolean, is_ideal)
 from .syntax import BudgetExceeded, ConditionError  # defined numpy-free, re-exported here
 
 
@@ -51,34 +53,34 @@ class Interpretation:
 
 
 class DeonticAlgebra:
-    """Validated deontic action algebra; construct through ``build``."""
+    """Validated deontic action algebra; construct through ``build``.
+
+    ``P`` and ``F`` are tuples of formula elements indexed by action
+    element.  ``E``, ``perm`` and ``forb`` take elements or rows, as the
+    lattice operations do."""
 
     def __init__(self, action, formula, P, F, E=None):
         self.action: HeytingAlgebra = action
         self.formula: HeytingAlgebra = formula
-        self.P = np.asarray(P, dtype=np.int32)
-        self.F = np.asarray(F, dtype=np.int32)
-        self._E = None if E is None else np.asarray(E, dtype=np.int32)
+        self._pf = _Table([P, F])
+        self.P, self.F = self._pf
+        self._E = None if E is None else _Table(E)
+        self._crisp = _Table([(formula.bot, formula.top)])
 
     @property
     def flavor(self) -> str:
         return "".join("B" if is_boolean(x) else "H" for x in (self.action, self.formula))
 
-    def E(self, a: int, b: int) -> int:
+    def E(self, a, b):
         if self._E is None:
-            return self.formula.top if a == b else self.formula.bot
-        return int(self._E[a, b])
+            return _gather(self._crisp, _pointwise(eq, a, b))
+        return _lookup(self._E, a, b)
 
-    def vE(self, x, y):
-        if self._E is None:
-            return np.where(np.asarray(x) == np.asarray(y), self.formula.top, self.formula.bot)
-        return self._E[x, y]
+    def perm(self, a):
+        return _lookup(self._pf, 0, a)
 
-    def vP(self, x):
-        return self.P[x]
-
-    def vF(self, x):
-        return self.F[x]
+    def forb(self, a):
+        return _lookup(self._pf, 1, a)
 
     @property
     def crisp_equality(self) -> bool:
@@ -102,15 +104,15 @@ def build(action: HeytingAlgebra, formula: HeytingAlgebra, P, F, E=None) -> Deon
     D = DeonticAlgebra(action, formula, P, F, E)
     A, Fm = action, formula
     n = A.size
-    if D.P.shape != (n,) or D.F.shape != (n,):
+    if len(D.P) != n or len(D.F) != n:
         raise ValueError("P and F must assign one formula element per action element")
-    for arr, what in ((D.P, "P"), (D.F, "F")):
-        if arr.size and (arr.min() < 0 or arr.max() >= Fm.size):
+    for vec, what in ((D.P, "P"), (D.F, "F")):
+        if any(not 0 <= x < Fm.size for x in vec):
             raise ValueError(f"{what} contains an out-of-range formula element")
     if D._E is not None:
-        if D._E.shape != (n, n):
+        if len(D._E) != n or any(len(row) != n for row in D._E):
             raise ValueError("E must be an |A| x |A| table of formula elements")
-        if D._E.min() < 0 or D._E.max() >= Fm.size:
+        if any(not 0 <= x < Fm.size for row in D._E for x in row):
             raise ValueError("E contains an out-of-range formula element")
 
     def name(i):
@@ -119,22 +121,22 @@ def build(action: HeytingAlgebra, formula: HeytingAlgebra, P, F, E=None) -> Deon
     def at(a, b):
         return f"at ({name(a)}, {name(b)})"
 
-    P, F, E = D.P, D.F, D.vE
+    P, F, E = D.perm, D.forb, D.E
     # (condition, arity, law, witness text); condition 6 first: conditions
-    # 3-5 quote E
+    # 3-5 quote E, and the off-diagonal check relies on the diagonal one
     laws = [] if D._E is None else [
-        ("6", 1, lambda x: (D._E[x, x], Fm.top), lambda a: f"E({name(a)}, {name(a)}) != top"),
-        ("6", 2, lambda x, y: ((D._E[x, y] == Fm.top) & (x != y), False),
+        ("6", 1, lambda x: (E(x, x), Fm.top), lambda a: f"E({name(a)}, {name(a)}) != top"),
+        ("6", 2, lambda x, y: (_pointwise(eq, E(x, y), Fm.top), _pointwise(eq, x, y)),
          lambda a, b: f"E({name(a)}, {name(b)}) = top but the elements differ"),
     ]
     laws += [
-        ("3", 1, lambda x: (Fm.vmeet(P[x], F[x]), E(x, A.bot)),
-         lambda a: f"P & F at {name(a)} is {Fm.element_name(int(Fm.meet(P[a], F[a])))}, "
-                   f"E(a,0) is {Fm.element_name(D.E(a, A.bot))}"),
-        ("1", 2, lambda x, y: (P[A.vjoin(x, y)], Fm.vmeet(P[x], P[y])), at),
-        ("2", 2, lambda x, y: (F[A.vjoin(x, y)], Fm.vmeet(F[x], F[y])), at),
-        ("4", 2, lambda x, y: (Fm.vjoin(Fm.vmeet(E(x, y), P[x]), P[y]), P[y]), at),
-        ("5", 2, lambda x, y: (Fm.vjoin(Fm.vmeet(E(x, y), F[x]), F[y]), F[y]), at),
+        ("3", 1, lambda x: (Fm.meet(P(x), F(x)), E(x, A.bot)),
+         lambda a: f"P & F at {name(a)} is {Fm.element_name(Fm.meet(P(a), F(a)))}, "
+                   f"E(a,0) is {Fm.element_name(E(a, A.bot))}"),
+        ("1", 2, lambda x, y: (P(A.join(x, y)), Fm.meet(P(x), P(y))), at),
+        ("2", 2, lambda x, y: (F(A.join(x, y)), Fm.meet(F(x), F(y))), at),
+        ("4", 2, lambda x, y: (Fm.join(Fm.meet(E(x, y), P(x)), P(y)), P(y)), at),
+        ("5", 2, lambda x, y: (Fm.join(Fm.meet(E(x, y), F(x)), F(y)), F(y)), at),
     ]
     for cid, arity, law, text in laws:
         witness = _first_failure(n, arity, law)
@@ -147,29 +149,30 @@ def build(action: HeytingAlgebra, formula: HeytingAlgebra, P, F, E=None) -> Deon
 # Evaluation
 # ---------------------------------------------------------------------------
 
-# Table semantics: values are lattice elements, ints or arrays of them.  Every
+# Table semantics: values are lattice elements, or arrays of them.  Every
 # operation goes through env["D"], so anything with the same attributes can
-# stand in for a DeonticAlgebra (the Heyting search runs a chunk of catalog
-# pairs at once this way).
+# stand in for a DeonticAlgebra: the numpy copy of _arrays does for the batch
+# evaluators, and the Heyting search runs a chunk of catalog pairs at once
+# this way.
 _TABLE_OPS = {
     S.Basic: lambda env, name: env["acts"][name],
     S.Zero: lambda env, _: env["D"].action.bot,
     S.One: lambda env, _: env["D"].action.top,
-    S.Union: lambda env, _, a, b: env["D"].action.vjoin(a, b),
-    S.Inter: lambda env, _, a, b: env["D"].action.vmeet(a, b),
-    S.Compl: lambda env, _, a: env["D"].action.vcompl(a),
-    S.AImpl: lambda env, _, a, b: env["D"].action.vimpl(a, b),
+    S.Union: lambda env, _, a, b: env["D"].action.join(a, b),
+    S.Inter: lambda env, _, a, b: env["D"].action.meet(a, b),
+    S.Compl: lambda env, _, a: env["D"].action.compl(a),
+    S.AImpl: lambda env, _, a, b: env["D"].action.impl(a, b),
     S.AVar: lambda env, name: env["acts"][name],
-    S.Eq: lambda env, _, a, b: env["D"].vE(a, b),
-    S.Perm: lambda env, _, a: env["D"].vP(a),
-    S.Forb: lambda env, _, a: env["D"].vF(a),
+    S.Eq: lambda env, _, a, b: env["D"].E(a, b),
+    S.Perm: lambda env, _, a: env["D"].perm(a),
+    S.Forb: lambda env, _, a: env["D"].forb(a),
     S.Prop: lambda env, name: env["props"][name],
-    S.Or: lambda env, _, a, b: env["D"].formula.vjoin(a, b),
-    S.And: lambda env, _, a, b: env["D"].formula.vmeet(a, b),
-    S.Not: lambda env, _, a: env["D"].formula.vcompl(a),
-    S.Impl: lambda env, _, a, b: env["D"].formula.vimpl(a, b),
-    S.Iff: lambda env, _, a, b: env["D"].formula.vmeet(env["D"].formula.vimpl(a, b),
-                                                       env["D"].formula.vimpl(b, a)),
+    S.Or: lambda env, _, a, b: env["D"].formula.join(a, b),
+    S.And: lambda env, _, a, b: env["D"].formula.meet(a, b),
+    S.Not: lambda env, _, a: env["D"].formula.compl(a),
+    S.Impl: lambda env, _, a, b: env["D"].formula.impl(a, b),
+    S.Iff: lambda env, _, a, b: env["D"].formula.meet(env["D"].formula.impl(a, b),
+                                                      env["D"].formula.impl(b, a)),
     S.Bot: lambda env, _: env["D"].formula.bot,
     S.Top: lambda env, _: env["D"].formula.top,
     S.FVar: lambda env, name: env["props"][name],
@@ -180,6 +183,90 @@ def _run_table(D: DeonticAlgebra, acts: dict, props: dict, table):
     return S.run(table, _TABLE_OPS, {"D": D, "acts": acts, "props": props})
 
 
+class _Sort:
+    """Lattices side by side over numpy index arrays: element i of the k-th
+    distinct one has id k*m + i, m the largest size, so an operation on two
+    ids of one lattice is one flat take at x*m + y.  Per lattice of ``side``:
+    ``off``, the id of its element 0, ``size``, and ``lo``/``hi``, the ids of
+    its bot and top.  ``bounded(at)`` is a view whose bot and top are those
+    of the lattices at ``at``.  The Heyting search lays out one side of a
+    catalog's pairs this way; _arrays lays out a single lattice."""
+
+    def __init__(self, side):
+        import numpy as np
+        index = {L: k for k, L in enumerate(dict.fromkeys(side))}   # lattices hash by identity
+        m = self.m = max(L.size for L in index)
+        self._join, self._meet, self._impl = (np.zeros(len(index) * m * (m + 1), np.int32)
+                                              for _ in range(3))
+        self._compl = np.zeros(len(index) * m, np.int32)
+        for L, k in index.items():
+            off, x, row = k * m, np.arange(L.size), tuple(range(L.size))
+            at = (off + x[:, None]) * m + off + x
+            ops = (L.join, L.meet) + ((L.impl,) if isinstance(L, HeytingAlgebra) else ())
+            for table, op in zip((self._join, self._meet, self._impl), ops):
+                table[at] = off + np.array([op(a, row) for a in row]).reshape(L.size, L.size)
+            if isinstance(L, HeytingAlgebra):
+                self._compl[off + x] = off + np.array(L.compl(row))
+        self.off = np.array([index[L] * m for L in side], np.int32)
+        self.size = np.array([L.size for L in side], np.int32)
+        self.lo = self.off + [L.bot for L in side]
+        self.hi = self.off + [L.top for L in side]
+
+    def bounded(self, at):
+        view = copy.copy(self)
+        view.bot, view.top = self.lo[at, None], self.hi[at, None]
+        return view
+
+    def join(self, x, y):
+        return self._join.take(x * self.m + y)
+
+    def meet(self, x, y):
+        return self._meet.take(x * self.m + y)
+
+    def impl(self, x, y):
+        return self._impl.take(x * self.m + y)
+
+    def compl(self, x):
+        return self._compl.take(x)
+
+
+class _AlgebraArrays:
+    """A DeonticAlgebra's operations over numpy index arrays."""
+
+    def __init__(self, D):
+        import numpy as np
+        self.action, self.formula = _arrays(D.action), _arrays(D.formula)
+        self._P, self._F = np.array(D.P, np.int32), np.array(D.F, np.int32)
+        self._E = None if D._E is None else np.array(D._E, np.int32)
+
+    def E(self, x, y):
+        if self._E is None:
+            import numpy as np
+            return np.where(np.asarray(x) == np.asarray(y), self.formula.top, self.formula.bot)
+        return self._E[x, y]
+
+    def perm(self, x):
+        return self._P[x]
+
+    def forb(self, x):
+        return self._F[x]
+
+
+def _arrays(x):
+    """The numpy stand-in of a lattice or a DeonticAlgebra in _TABLE_OPS,
+    built on first use and kept on x.  A powerset algebra computes bitwise,
+    on arrays as on elements, and stands in for itself."""
+    if isinstance(x, PowersetAlgebra):
+        return x
+    view = x.__dict__.get("_numpy_view")
+    if view is None and isinstance(x, DeonticAlgebra):
+        view = x._numpy_view = _AlgebraArrays(x)
+    elif view is None:
+        view = x._numpy_view = _Sort((x,))
+        view.bot, view.top = x.bot, x.top
+    return view
+
+
 def evaluate(D: DeonticAlgebra, h: Interpretation, t: S.Term) -> int:
     """Value of a (desugared) term: an action element or a formula element."""
     table = S.compile_term(t)
@@ -188,12 +275,12 @@ def evaluate(D: DeonticAlgebra, h: Interpretation, t: S.Term) -> int:
             raise KeyError(f"interpretation does not cover the basic action {name!r}")
         if cls in (S.Prop, S.FVar) and name not in h.prop:
             raise KeyError(f"interpretation does not cover the proposition {name!r}")
-    return int(np.ravel(_run_table(D, h.act, h.prop, table))[0])
+    return int(_run_table(D, h.act, h.prop, table))
 
 
 def evaluate_batch(D: DeonticAlgebra, assign: dict, t: S.Term):
     """Evaluate over numpy arrays of elements (one array per symbol name)."""
-    return _run_table(D, assign, assign, S.compile_term(t))
+    return _run_table(_arrays(D), assign, assign, S.compile_term(t))
 
 
 def satisfies(D: DeonticAlgebra, h: Interpretation, lhs: S.Term, rhs: S.Term) -> bool:
@@ -204,6 +291,7 @@ def satisfies(D: DeonticAlgebra, h: Interpretation, lhs: S.Term, rhs: S.Term) ->
 
 
 def _assignment_grid(D, act_names, prop_names, max_interps):
+    import numpy as np
     na, nf = D.action.size, D.formula.size
     total = (na ** len(act_names)) * (nf ** len(prop_names))
     if total > max_interps:
@@ -228,12 +316,13 @@ def _both_sides(D, lhs, rhs, max_interps):
     both = tables[0] + tables[1]
     assign, total = _assignment_grid(D, S.table_names(both, S.Basic, S.AVar),
                                      S.table_names(both, S.Prop, S.FVar), max_interps)
-    return *(_run_table(D, assign, assign, table) for table in tables), total
+    return *(_run_table(_arrays(D), assign, assign, table) for table in tables), total
 
 
 def valid_in(D: DeonticAlgebra, lhs: S.Term, rhs: S.Term,
              max_interps: int = 4_000_000) -> bool:
     """lhs = rhs under every interpretation of the occurring symbols."""
+    import numpy as np
     if isinstance(lhs, S.ActionTerm) != isinstance(rhs, S.ActionTerm):
         raise ValueError("equation sides must be of the same sort")
     va, vb, total = _both_sides(D, lhs, rhs, max_interps)
@@ -249,9 +338,10 @@ def valid_formula_in(D: DeonticAlgebra, t: S.FormulaTerm,
 def act_eq_iff_form_eq(D: DeonticAlgebra, a: S.ActionTerm, b: S.ActionTerm,
                        max_interps: int = 4_000_000) -> bool:
     """h(a) == h(b) iff E(h(a), h(b)) = top, for every interpretation h."""
+    import numpy as np
     va, vb, total = _both_sides(D, a, b, max_interps)
     same = np.broadcast_to(np.asarray(va) == np.asarray(vb), (total,))
-    etop = np.broadcast_to(D.vE(va, vb) == D.formula.top, (total,))
+    etop = np.broadcast_to(_arrays(D).E(va, vb) == D.formula.top, (total,))
     return bool(np.all(same == etop))
 
 
@@ -261,8 +351,8 @@ def act_eq_iff_form_eq(D: DeonticAlgebra, a: S.ActionTerm, b: S.ActionTerm,
 
 def preimage_ideals(D: DeonticAlgebra):
     """The top-preimages of P and F; checks both are ideals meeting in {0}."""
-    p_set = frozenset(int(a) for a in np.nonzero(D.P == D.formula.top)[0])
-    f_set = frozenset(int(a) for a in np.nonzero(D.F == D.formula.top)[0])
+    p_set = frozenset(a for a, x in enumerate(D.P) if x == D.formula.top)
+    f_set = frozenset(a for a, x in enumerate(D.F) if x == D.formula.top)
     if not is_ideal(D.action, p_set):
         raise ConditionError("ideal(P)", f"{sorted(p_set)} is not an ideal")
     if not is_ideal(D.action, f_set):
@@ -286,7 +376,7 @@ def check_ndal(D: DeonticAlgebra, generators, k: int) -> bool:
     gens = [A.index_of(g) if isinstance(g, str) else int(g) for g in generators]
 
     def closed(x):
-        return Fm.join(int(D.P[x]), int(D.F[x])) == Fm.top
+        return Fm.join(D.P[x], D.F[x]) == Fm.top
 
     if k == 1:
         return all(closed(g) for g in gens)
@@ -332,12 +422,12 @@ def subalgebra_check(D_sub: DeonticAlgebra, D: DeonticAlgebra,
         names = ("join", "meet")
         if isinstance(sub, HeytingAlgebra) and isinstance(big, HeytingAlgebra):
             names += ("impl",)
-        img = np.asarray(emb)
+        img = _Table([emb])
         fails = []
         for k, name in enumerate(names):
-            op_sub, op_big = getattr(sub, "v" + name), getattr(big, "v" + name)
+            op_sub, op_big = getattr(sub, name), getattr(big, name)
             witness = _first_failure(sub.size, 2, lambda x, y: (
-                img[op_sub(x, y)], op_big(img[x], img[y])))
+                _gather(img, op_sub(x, y)), op_big(_gather(img, x), _gather(img, y))))
             if witness is not None:
                 fails.append((witness, k))
         if fails:  # the first failing pair; at a pair, join before meet before impl
@@ -349,9 +439,9 @@ def subalgebra_check(D_sub: DeonticAlgebra, D: DeonticAlgebra,
     if report:
         return False, report
     for a in range(D_sub.action.size):
-        if form_emb[int(D_sub.P[a])] != int(D.P[act_emb[a]]):
+        if form_emb[D_sub.P[a]] != D.P[act_emb[a]]:
             report.append(f"P not preserved at {a}")
-        if form_emb[int(D_sub.F[a])] != int(D.F[act_emb[a]]):
+        if form_emb[D_sub.F[a]] != D.F[act_emb[a]]:
             report.append(f"F not preserved at {a}")
         for b in range(D_sub.action.size):
             if form_emb[D_sub.E(a, b)] != D.E(act_emb[a], act_emb[b]):
@@ -372,10 +462,13 @@ def extend_by_irreducibles(action: HeytingAlgebra, formula: HeytingAlgebra,
     a distributive lattice; the empty meet puts top at 0.  Leading axes of
     ``values`` stack several assignments, and the maps stack the same way.
     """
+    import numpy as np
     values = np.asarray(values, dtype=np.int32)
     out = np.full(values.shape[:-1] + (action.size,), formula.top, dtype=np.int32)
-    for i, below in enumerate(action.leq_matrix()[list(ji)]):
-        out[..., below] = formula.vmeet(out[..., below], values[..., i, None])
+    meet = _arrays(formula).meet
+    for i, j in enumerate(ji):
+        above = [x for x in range(action.size) if action.leq(j, x)]
+        out[..., above] = meet(out[..., above], values[..., i, None])
     return out
 
 
@@ -397,9 +490,11 @@ def _pf_stacks(action: HeytingAlgebra, formula: HeytingAlgebra):
     (Ps, Fs, pi, fi): the pairs are (Ps[pi[k]], Fs[fi[k]]).  Condition 3 is one
     broadcast per block of at most ``_COND_CHUNK`` cells, the F maps blocked
     too (against one P map each) if they fill one."""
+    import numpy as np
     ji = action.join_irreducibles()
     total, pstep, fstep = _pf_steps(action, formula)
     rest = np.arange(action.size) != action.bot
+    meet = _arrays(formula).meet
 
     def maps(lo, hi):  # antitone maps lo..hi-1 in itertools.product order
         codes = np.arange(lo, min(hi, total))[:, None] // formula.size ** np.arange(len(ji))[::-1]
@@ -409,7 +504,7 @@ def _pf_stacks(action: HeytingAlgebra, formula: HeytingAlgebra):
         Ps = maps(p0, p0 + pstep)
         for f0 in range(0, total, fstep):
             Fs = Ps if pstep >= total else maps(f0, f0 + fstep)   # one block: the same maps
-            ok = (formula.vmeet(Ps[:, None, rest], Fs[None, :, rest]) == formula.bot).all(axis=2)
+            ok = (meet(Ps[:, None, rest], Fs[None, :, rest]) == formula.bot).all(axis=2)
             pi, fi = np.nonzero(ok)
             if len(pi):
                 yield Ps, Fs, pi, fi

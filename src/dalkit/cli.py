@@ -4,8 +4,9 @@ Exit codes: 0 = valid/true/accepted, 1 = invalid/false/countermodel found,
 2 = any input or usage error.  Countermodels print in the model file format
 so they can be fed back to eval-model.
 
-Each subcommand imports the modules it uses, so ``parse``,
-``check-proof``, ``decide`` and ``eval-model`` run without loading numpy.
+Each subcommand imports the modules it uses.  Only ``countermodel`` loads
+numpy, for the Heyting search; every other subcommand runs on the lattices'
+Python tables.
 """
 
 from __future__ import annotations

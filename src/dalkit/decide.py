@@ -27,7 +27,6 @@ failing row gives the first failing candidate.
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import syntax as S
 from .algebra import (BudgetExceeded, DeonticAlgebra, Interpretation, _pf_one_block,
-                      _pf_stacks, _run_table, evaluate)
+                      _pf_stacks, _run_table, _Sort, evaluate)
 from .lattice import heyting_catalog, powerset_algebra, two
 from .models import (EMPTY, FORBIDDEN, NEUTRAL, PERMITTED, AtomAssignment,
                      Countermodel, Valid, decide_classical)
@@ -89,49 +88,6 @@ def _pair_stack(A, Fm):
                  for Ps, Fs, pi, fi in _pf_stacks(A, Fm))
 
 
-class _Sort:
-    """One side (action or formula) of a catalog's pairs: its distinct
-    algebras side by side, element i of the k-th having id k*m + i, m the
-    largest size, so an operation on two ids of one algebra is one flat take
-    at x*m + y.  Per pair: ``off``, the id of its element 0, ``size``, and
-    ``lo``/``hi``, the ids of its bot and top.  ``bounded(at)`` is a view
-    whose bot and top are those of the pairs at ``at``, for a chunk."""
-
-    def __init__(self, side):
-        index = {L: k for k, L in enumerate(dict.fromkeys(side))}   # lattices hash by identity
-        m = self.m = max(L.size for L in index)
-        self.join, self.meet, self.impl = (np.zeros(len(index) * m * (m + 1), np.int32)
-                                           for _ in range(3))
-        self.compl = np.zeros(len(index) * m, np.int32)
-        for L, k in index.items():
-            off, x = k * m, np.arange(L.size)
-            at = (off + x[:, None]) * m + off + x
-            for table, op in ((self.join, L.vjoin), (self.meet, L.vmeet), (self.impl, L.vimpl)):
-                table[at] = off + op(x[:, None], x)
-            self.compl[off + x] = off + L.vcompl(x)
-        self.off = np.array([index[L] * m for L in side], np.int32)
-        self.size = np.array([L.size for L in side], np.int32)
-        self.lo = self.off + [L.bot for L in side]
-        self.hi = self.off + [L.top for L in side]
-
-    def bounded(self, at):
-        view = copy.copy(self)
-        view.bot, view.top = self.lo[at, None], self.hi[at, None]
-        return view
-
-    def vjoin(self, x, y):
-        return self.join.take(x * self.m + y)
-
-    def vmeet(self, x, y):
-        return self.meet.take(x * self.m + y)
-
-    def vimpl(self, x, y):
-        return self.impl.take(x * self.m + y)
-
-    def vcompl(self, x):
-        return self.compl.take(x)
-
-
 @functools.lru_cache(maxsize=None)
 def _layout(pairs):
     """The action and the formula _Sort of a catalog, built once per catalog."""
@@ -149,13 +105,13 @@ class _Chunk:
         self.action, self.formula, self.pair_row = action, formula, pair_row
         self.P, self.pshift, self.F, self.fshift = P, pshift, F, fshift
 
-    def vE(self, x, y):
+    def E(self, x, y):
         return np.where((x == y).take(self.pair_row, axis=0), self.formula.top, self.formula.bot)
 
-    def vP(self, x):
+    def perm(self, x):
         return self.P.take(x.take(self.pair_row, axis=0) + self.pshift)
 
-    def vF(self, x):
+    def forb(self, x):
         return self.F.take(x.take(self.pair_row, axis=0) + self.fshift)
 
 
@@ -332,7 +288,13 @@ def countermodel_heyting(phi: S.FormulaTerm, variant: V,
     """Search catalog algebra pairs for a falsifying interpretation.
 
     Refutation only: the result is a Countermodel carrying the algebra and
-    interpretation, or Unknown (budget exhausted or catalog exhausted).  The
+    interpretation, or Unknown (budget exhausted or catalog exhausted).
+    The pairs are fixed per variant (``_catalog_pairs``): DAL_IPL searches
+    only the Boolean action algebras of 1 and 2 atoms, whatever
+    ``max_points``, so it never sees three pairwise disjoint nonzero
+    actions.  ``!(a*b == 0 & a*c == 0 & b*c == 0 & !(a == 0) & !(b == 0) &
+    !(c == 0))`` is never refuted there, though ``decide_classical`` refutes
+    it under DAL.  The
     countermodel is the first in catalog pair order, then P-major/F-minor
     over join-irreducible values, then interpretation grid order, and is
     re-verified by the scalar evaluator.  Consecutive pairs are evaluated

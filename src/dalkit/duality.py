@@ -19,8 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .algebra import DeonticAlgebra, Interpretation, build
 from .lattice import PowersetAlgebra, SetFamilyAlgebra, two
 from .models import DeonticModel, Valuation
@@ -106,11 +104,7 @@ def _stone_lattice(lat):
     """Powerset of the atoms plus the embedding x -> {atoms below x}."""
     atoms, labels = _atom_labels(lat)
     pw = PowersetAlgebra(labels)
-    iso = np.zeros(lat.size, dtype=np.int64)
-    for x in range(lat.size):
-        for j, a in enumerate(atoms):
-            if lat.leq(a, x):
-                iso[x] |= 1 << j
+    iso = [sum(1 << j for j, a in enumerate(atoms) if lat.leq(a, x)) for x in range(lat.size)]
     return pw, iso
 
 
@@ -124,17 +118,16 @@ def stoneify(D: DeonticAlgebra):
         raise ValueError(f"stoneify needs flavor BB, got {D.flavor}")
     act2, aiso = _stone_lattice(D.action)
     form2, fiso = _stone_lattice(D.formula)
-    P2 = np.zeros(act2.size, dtype=np.int64)
-    F2 = np.zeros(act2.size, dtype=np.int64)
+    P2, F2 = [0] * act2.size, [0] * act2.size
     for x in range(D.action.size):
         P2[aiso[x]] = fiso[D.P[x]]
         F2[aiso[x]] = fiso[D.F[x]]
     E2 = None
     if not D.crisp_equality:
-        E2 = np.zeros((act2.size, act2.size), dtype=np.int64)
+        E2 = [[0] * act2.size for _ in range(act2.size)]
         for x in range(D.action.size):
             for y in range(D.action.size):
-                E2[aiso[x], aiso[y]] = fiso[D.E(x, y)]
+                E2[aiso[x]][aiso[y]] = fiso[D.E(x, y)]
     return build(act2, form2, P2, F2, E2), (aiso, fiso)
 
 

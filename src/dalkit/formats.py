@@ -22,8 +22,11 @@ Proof (.prf):
 
 '#' starts a comment anywhere on a line; blank lines are skipped.
 
-The algebra reader and writer import numpy and the numeric modules when
-called, so reading and writing proofs and models needs neither.
+The algebra reader and writer import ``lattice`` and ``algebra`` when
+called, so reading and writing proofs and models needs neither; none of
+them loads numpy.  A table-backed carrier (``chain``, ``downsets``) may have
+at most ``MAX_TABLE_ELEMENTS`` elements, since its operation tables grow
+with the square of that count.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ if TYPE_CHECKING:
     from .algebra import DeonticAlgebra
     from .lattice import HeytingAlgebra
     from .models import DeonticModel, Valuation
+
+
+MAX_TABLE_ELEMENTS = 2048
 
 
 class FormatError(ValueError):
@@ -120,12 +126,14 @@ class AlgebraFile:
 
 
 def _make_lattice(spec: str, lineno: int):
-    import numpy as np
-
     from .lattice import (Poset, chain, downset_algebra, free_boolean,
                           powerset_algebra)
     parts = spec.split()
+    if not parts:
+        raise FormatError(lineno, "expected a lattice constructor "
+                                  "(powerset, free, chain or downsets)")
     kind, args = parts[0], parts[1:]
+    too_many = f"{kind} carrier has more than {MAX_TABLE_ELEMENTS} elements"
     named = {}
     if kind == "powerset":
         lat = powerset_algebra(args)
@@ -135,6 +143,8 @@ def _make_lattice(spec: str, lineno: int):
     elif kind == "chain":
         if len(args) != 1 or not args[0].isdigit():
             raise FormatError(lineno, "chain needs one numeric argument")
+        if int(args[0]) > MAX_TABLE_ELEMENTS:
+            raise FormatError(lineno, too_many)
         lat = chain(int(args[0]))
     elif kind == "downsets":
         points, edges = [], []
@@ -147,10 +157,11 @@ def _make_lattice(spec: str, lineno: int):
                 points.append(tok)
         seen = list(dict.fromkeys(points))
         poset = Poset.from_edges(seen, edges)
+        if len(poset.downset_masks(MAX_TABLE_ELEMENTS)) > MAX_TABLE_ELEMENTS:
+            raise FormatError(lineno, too_many)
         lat = downset_algebra(poset)
-        down = poset.lt | np.eye(len(seen), dtype=bool)
-        for i, p in enumerate(seen):
-            mask = sum(1 << j for j in range(len(seen)) if down[j, i])
+        for i, p in enumerate(seen):   # the principal downset of p
+            mask = sum(1 << j for j in range(len(seen)) if poset.lt[j][i]) | 1 << i
             named[p] = lat.downset_masks.index(mask)
     else:
         raise FormatError(lineno, f"unknown lattice constructor {kind!r}")
@@ -204,8 +215,6 @@ def _split_two_elems(rest, lineno):
 
 
 def read_algebra(text: str) -> AlgebraFile:
-    import numpy as np
-
     from .algebra import build
     action = formula = None
     action_spec = formula_spec = None
@@ -240,40 +249,38 @@ def read_algebra(text: str) -> AlgebraFile:
         raise FormatError(0, "need both 'actions:' and 'formulas:' lines")
 
     def fill(what):
-        vec = np.full(action.size, -1, dtype=np.int64)
-        if what in defaults:
-            vec[:] = _felem(formula, *defaults[what])
+        vec = [_felem(formula, *defaults[what]) if what in defaults else -1] * action.size
         for elem, rhs, lineno in entries[what]:
             vec[_aelem(action, elem, lineno)] = _felem(formula, rhs, lineno)
-        if (vec < 0).any():
-            missing = action.element_name(int(np.nonzero(vec < 0)[0][0]))
+        if -1 in vec:
+            missing = action.element_name(vec.index(-1))
             raise FormatError(0, f"{what} is unspecified at {missing} (add a default)")
         return vec
 
     Pv, Fv = fill("P"), fill("F")
     E = None
     if e_entries:
-        E = np.where(np.eye(action.size, dtype=bool), formula.top, formula.bot)
+        E = [[formula.top if a == b else formula.bot for b in range(action.size)]
+             for a in range(action.size)]
         for a, b, rhs, lineno in e_entries:
-            E[_aelem(action, a, lineno), _aelem(action, b, lineno)] = \
+            E[_aelem(action, a, lineno)][_aelem(action, b, lineno)] = \
                 _felem(formula, rhs, lineno)
     D = build(action, formula, Pv, Fv, E)
     return AlgebraFile(D, action_spec, formula_spec, named)
 
 
 def write_algebra(af: AlgebraFile) -> str:
-    import numpy as np
     D = af.algebra
     fm = D.formula
 
     out = [f"actions: {af.action_spec}", f"formulas: {af.formula_spec}"]
     for tag, vec in (("P", D.P), ("F", D.F)):
-        counts = np.bincount(vec, minlength=fm.size)
-        default = int(np.argmax(counts))
+        counts = [vec.count(x) for x in range(fm.size)]
+        default = counts.index(max(counts))   # the most frequent, the smallest of a tie
         out.append(f"{tag} default = {_fname(fm, default)}")
         for i in range(D.action.size):
             if vec[i] != default:
-                out.append(f"{tag} {D.action.element_name(i)} = {_fname(fm, int(vec[i]))}")
+                out.append(f"{tag} {D.action.element_name(i)} = {_fname(fm, vec[i])}")
     if not D.crisp_equality:
         for a in range(D.action.size):
             for b in range(D.action.size):

@@ -1,11 +1,18 @@
 """Finite bounded distributive lattices, Heyting algebras, Boolean algebras.
 
-Elements are dense indices 0..size-1.  Table-backed lattices store numpy
-operation tables; powerset algebras use bitmask indices and compute their
-operations bitwise, so they scale to 2^16 elements without materializing
-tables.  All operations are exposed both element-wise (``join``) and
-vectorized over numpy index arrays (``vjoin``), which is what the validators
-and the exhaustive checkers use.
+Elements are dense indices 0..size-1.  Table-backed lattices store their
+operation tables as tuples of row tuples of Python ints; powerset algebras
+use bitmask indices and compute their operations bitwise, so they scale to
+2^16 elements without materializing tables.  This module does not import
+numpy; ``algebra`` and ``decide`` copy the tables into numpy arrays where
+they evaluate over arrays of elements.
+
+Every operation takes, for each argument, an element or a row of
+elements: a ``bytes`` object when the elements fit in a byte, else a tuple.
+With a row it returns the row of results, gathered at C speed: a bytes row
+through ``bytes.translate`` with one 256-byte row or column of the table,
+a tuple row through an ``operator.itemgetter`` or an ``operator`` function.
+Scalar evaluation passes elements; the law checker passes rows.
 
 Defining equations checked by ``validate``:
 
@@ -15,49 +22,132 @@ Defining equations checked by ``validate``:
     Boolean: additionally LEM  x + ~x = 1
 
 Every check that a law holds for all elements goes through one checker,
-``_first_failure``: it broadcasts the law over index grids, chunked over the
-first index, and returns the first counterexample in row-major order.  The
-lattice laws above, ``is_boolean``, ``is_ideal`` and ``is_congruence`` use it
-here, and ``algebra.build`` and ``algebra.subalgebra_check`` use it for the
+``_first_failure``: it evaluates the law one row of the last index at a
+time and returns the first counterexample in row-major order.  The lattice
+laws above, ``is_boolean``, ``is_ideal`` and ``is_congruence`` use it here,
+and ``algebra.build`` and ``algebra.subalgebra_check`` use it for the
 deontic conditions and for operation preservation.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
+from operator import and_, eq, getitem, itemgetter, le, or_, xor
 
-import numpy as np
+
+_ROWS = (bytes, tuple)
+
+
+def _pointwise(f, a, b):
+    """f(a, b), mapped over whichever of a and b is a row."""
+    if a.__class__ in _ROWS:
+        if a.__class__ is bytes and b.__class__ is int and (t := _byte_map(f, b, False)):
+            return a.translate(t)
+        return tuple(map(f, a, b if b.__class__ in _ROWS else itertools.repeat(b)))
+    if b.__class__ in _ROWS:
+        if b.__class__ is bytes and a.__class__ is int and (t := _byte_map(f, a, True)):
+            return b.translate(t)
+        return tuple(map(f, itertools.repeat(a), b))
+    return f(a, b)
+
+
+@lru_cache(maxsize=None)
+def _byte_map(f, c, first):
+    """The translation table of v -> f(c, v) (first) or f(v, c), or None if
+    a value does not fit in a byte."""
+    try:
+        return bytes(f(c, v) if first else f(v, c) for v in range(256))
+    except (ValueError, TypeError):
+        return None
+
+
+def _translations(rows):
+    """The rows as 256-byte translation tables, or None if there are more
+    than 256 or a value is not a byte."""
+    try:
+        return [bytes(r) + bytes(256 - len(r)) for r in rows] if len(rows) <= 256 else None
+    except ValueError:
+        return None
+
+
+class _Table(tuple):
+    """An operation table, as the tuple of its row tuples of ints; a numpy
+    array converts through its ``tolist``.  ``cols`` are its columns, and
+    ``fwd[a]`` and ``back[b]`` row a and column b as translation tables, or
+    None (see _translations).  A one-row table is a map from elements."""
+
+    def __new__(cls, rows):
+        return super().__new__(cls, (tuple(map(int, r)) for r in getattr(rows, "tolist", lambda: rows)()))
+
+    @cached_property
+    def cols(self):
+        return tuple(zip(*self))
+
+    @cached_property
+    def fwd(self):
+        return _translations(self)
+
+    @cached_property
+    def back(self):
+        return self.fwd and _translations(self.cols)
+
+
+def _take(seq, row):
+    """The tuple of seq[i] for i in the row, gathered by an itemgetter."""
+    return itemgetter(*row)(seq) if len(row) > 1 else tuple(seq[i] for i in row)
+
+
+def _lookup(t, a, b):
+    """t[a][b], mapped over whichever of a and b is a row."""
+    if a.__class__ in _ROWS:
+        if b.__class__ in _ROWS:
+            return tuple(map(getitem, map(t.__getitem__, a), b))
+        return a.translate(t.back[b]) if a.__class__ is bytes and t.back else _take(t.cols[b], a)
+    if b.__class__ in _ROWS:
+        return b.translate(t.fwd[a]) if b.__class__ is bytes and t.fwd else _take(t[a], b)
+    return t[a][b]
+
+
+def _gather(values, a):
+    """values[a], mapped over a row; values is a one-row _Table."""
+    return _lookup(values, 0, a)
+
+
+def _mask(flags):
+    """The bitmask with bit i set where flags[i] is true."""
+    return int("".join(map("01".__getitem__, reversed(flags))) or "0", 2)
+
+
+def _bits(mask):
+    """The positions of the set bits of mask, ascending."""
+    flags = bin(mask)[:1:-1]   # bit 0 first
+    return list(itertools.compress(range(len(flags)), map("1".__eq__, flags)))
 
 
 class Lattice:
     """Finite bounded lattice with explicit join/meet tables."""
 
     def __init__(self, join_table, meet_table, names, bot: int, top: int):
-        self._join = np.asarray(join_table, dtype=np.int32)
-        self._meet = np.asarray(meet_table, dtype=np.int32)
-        self.size = int(self._join.shape[0])
+        self._join = _Table(join_table)
+        self._meet = _Table(meet_table)
+        self.size = len(self._join)
         self.names = tuple(names)
         self.bot = int(bot)
         self.top = int(top)
-        if self._join.shape != (self.size, self.size) or self._meet.shape != (self.size, self.size):
+        if any(len(t) != self.size or any(len(row) != self.size for row in t)
+               for t in (self._join, self._meet)):
             raise ValueError("operation tables must be square and same-sized")
         if len(self.names) != self.size:
             raise ValueError("need one name per element")
 
     # -- operations ----------------------------------------------------------
 
-    def join(self, a: int, b: int) -> int:
-        return int(self._join[a, b])
+    def join(self, a, b):
+        return _lookup(self._join, a, b)
 
-    def meet(self, a: int, b: int) -> int:
-        return int(self._meet[a, b])
-
-    def vjoin(self, x, y):
-        return self._join[x, y]
-
-    def vmeet(self, x, y):
-        return self._meet[x, y]
+    def meet(self, a, b):
+        return _lookup(self._meet, a, b)
 
     def leq(self, a: int, b: int) -> bool:
         return self.join(a, b) == b
@@ -71,43 +161,44 @@ class Lattice:
         except ValueError:
             raise KeyError(f"no element named {name!r}") from None
 
-    def elements(self):
-        return range(self.size)
-
     def __repr__(self):
         return f"<{type(self).__name__} size={self.size}>"
 
     # -- derived structure ----------------------------------------------------
 
     def leq_matrix(self):
-        """Boolean size x size matrix of the lattice order."""
-        idx = np.arange(self.size)
-        return self.vjoin(idx[:, None], idx[None, :]) == idx[None, :]
+        """The order as a tuple of row tuples: ``[a][b]`` is a <= b."""
+        idx = tuple(range(self.size))
+        return tuple(tuple(map(eq, self.join(a, idx), idx)) for a in idx)
+
+    @cached_property
+    def _order(self):
+        """(up, down): per element x, the bitmasks of the elements y with
+        x <= y and with y <= x."""
+        leq = self.leq_matrix()
+        return tuple(map(_mask, leq)), tuple(map(_mask, zip(*leq)))
 
     def covers(self):
-        """Pairs (a, b) such that b covers a."""
-        leq = self.leq_matrix()
-        lt = leq & ~np.eye(self.size, dtype=bool)
-        between = lt @ lt  # a < z < b for some z
-        return [(int(a), int(b)) for a, b in zip(*np.nonzero(lt & ~between))]
+        """Pairs (a, b) such that b covers a, in row-major order."""
+        strict = [u & ~(1 << a) for a, u in enumerate(self._order[0])]
+        out = []
+        for a, above in enumerate(strict):
+            beyond = 0   # elements above something strictly above a
+            for z in _bits(above):
+                beyond |= strict[z]
+            out += [(a, b) for b in _bits(above & ~beyond)]
+        return out
 
     def atoms(self) -> list[int]:
-        leq = self.leq_matrix()
-        out = []
-        for x in range(self.size):
-            if x == self.bot:
-                continue
-            below = [y for y in range(self.size) if leq[y, x] and y != x]
-            if below == [self.bot]:
-                out.append(x)
-        return out
+        return [x for x, d in enumerate(self._order[1])
+                if x != self.bot and d & ~(1 << x) == 1 << self.bot]
 
     def join_irreducibles(self) -> list[int]:
         """Elements with exactly one lower cover (excludes bot)."""
-        lower = {a: [] for a in range(self.size)}
-        for a, b in self.covers():
-            lower[b].append(a)
-        return [x for x in range(self.size) if x != self.bot and len(lower[x]) == 1]
+        lower = [0] * self.size
+        for _, b in self.covers():
+            lower[b] += 1
+        return [x for x in range(self.size) if x != self.bot and lower[x] == 1]
 
 
 class HeytingAlgebra(Lattice):
@@ -115,21 +206,15 @@ class HeytingAlgebra(Lattice):
 
     def __init__(self, join_table, meet_table, impl_table, names, bot, top):
         super().__init__(join_table, meet_table, names, bot, top)
-        self._impl = np.asarray(impl_table, dtype=np.int32)
-        if self._impl.shape != (self.size, self.size):
+        self._impl = _Table(impl_table)
+        if len(self._impl) != self.size or any(len(row) != self.size for row in self._impl):
             raise ValueError("impl table must match lattice size")
 
-    def impl(self, a: int, b: int) -> int:
-        return int(self._impl[a, b])
+    def impl(self, a, b):
+        return _lookup(self._impl, a, b)
 
-    def vimpl(self, x, y):
-        return self._impl[x, y]
-
-    def compl(self, a: int) -> int:
-        return self.impl(a, self.bot)
-
-    def vcompl(self, x):
-        return self._impl[x, self.bot]
+    def compl(self, a):
+        return _lookup(self._impl, a, self.bot)
 
 
 class BooleanAlgebra(HeytingAlgebra):
@@ -137,7 +222,10 @@ class BooleanAlgebra(HeytingAlgebra):
 
 
 class PowersetAlgebra(BooleanAlgebra):
-    """Powerset of a finite atom set; element index == subset bitmask."""
+    """Powerset of a finite atom set; element index == subset bitmask.
+
+    The operations are bitwise, so they also apply elementwise to numpy
+    arrays of indices."""
 
     def __init__(self, atom_names):
         self.atom_names = tuple(atom_names)
@@ -150,21 +238,16 @@ class PowersetAlgebra(BooleanAlgebra):
         # tables are never materialized; all ops are bitwise on indices
 
     def join(self, a, b):
-        return a | b
+        return _pointwise(or_, a, b)
 
     def meet(self, a, b):
-        return a & b
+        return _pointwise(and_, a, b)
 
     def impl(self, a, b):
-        return (self.top & ~a) | b
+        return _pointwise(or_, self.compl(a), b)
 
     def compl(self, a):
-        return self.top & ~a
-
-    vjoin = join
-    vmeet = meet
-    vimpl = impl
-    vcompl = compl
+        return _pointwise(xor, a, self.top)
 
     def element_name(self, i: int) -> str:
         members = [nm for k, nm in enumerate(self.atom_names) if i >> k & 1]
@@ -220,18 +303,12 @@ class SetFamilyAlgebra(BooleanAlgebra):
             sets.append(self.universe)
             sets.sort(key=lambda s: (len(s), sorted(s)))
         index = {s: i for i, s in enumerate(sets)}
-        n = len(sets)
-        join = np.empty((n, n), dtype=np.int32)
-        meet = np.empty((n, n), dtype=np.int32)
-        impl = np.empty((n, n), dtype=np.int32)
-        for i, a in enumerate(sets):
-            for j, b in enumerate(sets):
-                try:
-                    join[i, j] = index[a | b]
-                    meet[i, j] = index[a & b]
-                    impl[i, j] = index[(self.universe - a) | b]
-                except KeyError:
-                    raise ValueError("family is not closed under the set operations") from None
+        try:
+            join = [[index[a | b] for b in sets] for a in sets]
+            meet = [[index[a & b] for b in sets] for a in sets]
+            impl = [[index[(self.universe - a) | b] for b in sets] for a in sets]
+        except KeyError:
+            raise ValueError("family is not closed under the set operations") from None
         names = tuple("{" + " ".join(sorted(s)) + "}" for s in sets)
         super().__init__(join, meet, impl, names, index[frozenset()], index[self.universe])
         self._sets = tuple(sets)
@@ -278,10 +355,10 @@ def chain(n: int) -> HeytingAlgebra:
     """Linear Heyting algebra c0 < c1 < ... < c(n-1); chain(2) is Boolean."""
     if n < 1:
         raise ValueError("a chain needs at least one element")
-    idx = np.arange(n)
-    join = np.maximum(idx[:, None], idx[None, :])
-    meet = np.minimum(idx[:, None], idx[None, :])
-    impl = np.where(idx[:, None] <= idx[None, :], n - 1, idx[None, :] * np.ones((n, n), dtype=int))
+    idx = tuple(range(n))   # the rows share these int objects
+    join = [(idx[i],) * i + idx[i:] for i in idx]
+    meet = [idx[:i] + (idx[i],) * (n - i) for i in idx]
+    impl = [idx[:i] + (idx[-1],) * (n - i) for i in idx]   # top where i <= j, else j
     names = tuple(f"c{i}" for i in range(n))
     cls = BooleanAlgebra if n <= 2 else HeytingAlgebra
     return cls(join, meet, impl, names, 0, n - 1)
@@ -293,73 +370,62 @@ def two() -> BooleanAlgebra:
 
 
 class Poset:
-    """Finite strict partial order over named points."""
+    """Finite strict partial order over named points; ``lt[i][j]`` is True
+    iff point i < point j."""
 
     def __init__(self, point_names, lt):
         self.point_names = tuple(point_names)
         self.n = len(self.point_names)
-        self.lt = np.asarray(lt, dtype=bool)
-        if self.lt.shape != (self.n, self.n):
+        self.lt = tuple(tuple(map(bool, row)) for row in lt)
+        if len(self.lt) != self.n or any(len(row) != self.n for row in self.lt):
             raise ValueError("relation must be n x n")
-        if self.lt.diagonal().any():
+        above = [_mask(row) for row in self.lt]
+        if any(a >> i & 1 for i, a in enumerate(above)):
             raise ValueError("relation must be irreflexive")
-        closed = self.lt | (self.lt @ self.lt)
-        if (closed != self.lt).any():
+        # transitive and irreflexive, the relation is also antisymmetric
+        if any(above[j] & ~a for a in above for j in _bits(a)):
             raise ValueError("relation must be transitively closed")
-        if (self.lt & self.lt.T).any():
-            raise ValueError("relation must be antisymmetric")
 
     @classmethod
     def from_edges(cls, point_names, edges):
         """Build from covering/ordering pairs (lo, hi); closure is computed."""
         names = list(point_names)
-        lt = np.zeros((len(names), len(names)), dtype=bool)
+        n = len(names)
+        above = [0] * n
         for lo, hi in edges:
-            lt[names.index(lo), names.index(hi)] = True
-        for _ in range(len(names)):
-            new = lt | (lt @ lt)
-            if (new == lt).all():
-                break
-            lt = new
-        return cls(names, lt)
+            above[names.index(lo)] |= 1 << names.index(hi)
+        for k in range(n):   # Warshall's closure
+            for i in range(n):
+                if above[i] >> k & 1:
+                    above[i] |= above[k]
+        return cls(names, [[a >> j & 1 for j in range(n)] for a in above])
 
-    def downset_masks(self) -> list[int]:
-        down = []
-        for m in range(1 << self.n):
-            ok = True
-            for i in range(self.n):
-                if m >> i & 1:
-                    for j in range(self.n):
-                        if self.lt[j, i] and not m >> j & 1:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
-                down.append(m)
-        return down
+    def downset_masks(self, limit: int | None = None) -> list[int]:
+        """The downsets as bitmasks over the points, ascending.  With a
+        limit, the enumeration stops as soon as it has more than ``limit``
+        of them, so a caller can bound the count without listing all."""
+        below = [_mask(col) for col in zip(*self.lt)]
+        down = [0]
+        # add the points in a linear extension; each downset of the points
+        # so far extends by the new one if it holds all points below it
+        for i in sorted(range(self.n), key=lambda i: below[i].bit_count()):
+            down += [d | 1 << i for d in down if below[i] & ~d == 0]
+            if limit is not None and len(down) > limit:
+                break
+        return sorted(down)
 
 
 def downset_algebra(poset: Poset) -> HeytingAlgebra:
     """Heyting algebra of downward-closed subsets of a poset."""
-    masks = sorted(poset.downset_masks())
+    masks = poset.downset_masks()
     index = {m: i for i, m in enumerate(masks)}
-    n = len(masks)
     pts = range(poset.n)
-    downcone = [sum(1 << j for j in pts if poset.lt[j, i]) | (1 << i) for i in pts]
-    join = np.empty((n, n), dtype=np.int32)
-    meet = np.empty((n, n), dtype=np.int32)
-    impl = np.empty((n, n), dtype=np.int32)
-    for i, a in enumerate(masks):
-        for j, b in enumerate(masks):
-            join[i, j] = index[a | b]
-            meet[i, j] = index[a & b]
-            # x is in a ~> b iff the downcone of x meets a only inside b
-            rpc = 0
-            for x in pts:
-                if downcone[x] & a & ~b == 0:
-                    rpc |= 1 << x
-            impl[i, j] = index[rpc]
+    downcone = [_mask(col) | 1 << i for i, col in enumerate(zip(*poset.lt))]
+    join = [[index[a | b] for b in masks] for a in masks]
+    meet = [[index[a & b] for b in masks] for a in masks]
+    # x is in a ~> b iff the downcone of x meets a only inside b
+    impl = [[index[sum(1 << x for x in pts if not downcone[x] & a & ~b)] for b in masks]
+            for a in masks]
     names = tuple(
         "{" + " ".join(poset.point_names[i] for i in pts if m >> i & 1) + "}" for m in masks
     )
@@ -373,57 +439,49 @@ def downset_algebra(poset: Poset) -> HeytingAlgebra:
 # Validation
 # ---------------------------------------------------------------------------
 
-_CHUNK = 1 << 22
-
-
 def _first_failure(size: int, arity: int, fn):
     """The first index tuple over range(size)**arity, in row-major order, at
     which a law fails; None if it holds everywhere.
 
-    fn(*grids) returns (lhs, rhs) for index grids that broadcast over the
-    tuples, and the law fails where lhs != rhs.  The first index is chunked
-    to about _CHUNK cells per chunk, at least one value of it per chunk.
+    fn(*outer, row) returns (lhs, rhs) with the first arity - 1 indices fixed
+    to elements and the last one the row of all elements, 0 to size - 1;
+    each side is an element or a row, and the law fails where they differ.
     """
-    idx = np.arange(size)
-    step = max(1, _CHUNK // (size ** (arity - 1) or 1))
-    for x0 in range(0, size, step):
-        x = np.arange(x0, min(size, x0 + step))
-        grids = [g.reshape([-1 if j == k else 1 for j in range(arity)])
-                 for k, g in enumerate([x] + [idx] * (arity - 1))]
-        lhs, rhs = fn(*grids)
-        shape = (len(x),) + (size,) * (arity - 1)
-        bad = np.broadcast_to(lhs != rhs, shape)
-        if bad.any():
-            first = np.unravel_index(int(bad.argmax()), shape)
-            return (x0 + int(first[0]),) + tuple(int(i) for i in first[1:])
+    row = bytes(range(size)) if size <= 256 else tuple(range(size))
+    for outer in itertools.product(range(size), repeat=arity - 1):
+        lhs, rhs = fn(*outer, row)
+        if lhs.__class__ is not rhs.__class__ or lhs != rhs:
+            lhs, rhs = (tuple(v) if v.__class__ in _ROWS else (v,) * size for v in (lhs, rhs))
+            if lhs != rhs:
+                return outer + (next(i for i in range(size) if lhs[i] != rhs[i]),)
     return None
 
 
 _BDL_LAWS = [
-    ("L1", 3, lambda l, x, y, z: (l.vjoin(x, l.vjoin(y, z)), l.vjoin(l.vjoin(x, y), z))),
-    ("L2", 2, lambda l, x, y: (l.vjoin(x, y), l.vjoin(y, x))),
-    ("L3", 1, lambda l, x: (l.vjoin(x, x), x)),
-    ("L4", 2, lambda l, x, y: (l.vjoin(x, l.vmeet(x, y)), x)),
-    ("L5", 3, lambda l, x, y, z: (l.vjoin(x, l.vmeet(y, z)), l.vmeet(l.vjoin(x, y), l.vjoin(x, z)))),
-    ("L6", 1, lambda l, x: (l.vjoin(x, l.top), l.top)),
-    ("L7", 3, lambda l, x, y, z: (l.vmeet(x, l.vmeet(y, z)), l.vmeet(l.vmeet(x, y), z))),
-    ("L8", 2, lambda l, x, y: (l.vmeet(x, y), l.vmeet(y, x))),
-    ("L9", 1, lambda l, x: (l.vmeet(x, x), x)),
-    ("L10", 2, lambda l, x, y: (l.vmeet(x, l.vjoin(x, y)), x)),
-    ("L11", 3, lambda l, x, y, z: (l.vmeet(x, l.vjoin(y, z)), l.vjoin(l.vmeet(x, y), l.vmeet(x, z)))),
-    ("L12", 1, lambda l, x: (l.vmeet(x, l.bot), l.bot)),
+    ("L1", 3, lambda l, x, y, z: (l.join(x, l.join(y, z)), l.join(l.join(x, y), z))),
+    ("L2", 2, lambda l, x, y: (l.join(x, y), l.join(y, x))),
+    ("L3", 1, lambda l, x: (l.join(x, x), x)),
+    ("L4", 2, lambda l, x, y: (l.join(x, l.meet(x, y)), x)),
+    ("L5", 3, lambda l, x, y, z: (l.join(x, l.meet(y, z)), l.meet(l.join(x, y), l.join(x, z)))),
+    ("L6", 1, lambda l, x: (l.join(x, l.top), l.top)),
+    ("L7", 3, lambda l, x, y, z: (l.meet(x, l.meet(y, z)), l.meet(l.meet(x, y), z))),
+    ("L8", 2, lambda l, x, y: (l.meet(x, y), l.meet(y, x))),
+    ("L9", 1, lambda l, x: (l.meet(x, x), x)),
+    ("L10", 2, lambda l, x, y: (l.meet(x, l.join(x, y)), x)),
+    ("L11", 3, lambda l, x, y, z: (l.meet(x, l.join(y, z)), l.join(l.meet(x, y), l.meet(x, z)))),
+    ("L12", 1, lambda l, x: (l.meet(x, l.bot), l.bot)),
 ]
 
 _HEYTING_LAWS = [
-    ("H2", 3, lambda l, x, y, z: (l.vmeet(l.vimpl(l.vmeet(x, y), x), z), z)),
-    ("H3", 3, lambda l, x, y, z: (l.vmeet(x, l.vimpl(y, z)), l.vmeet(x, l.vimpl(l.vmeet(x, y), l.vmeet(x, z))))),
-    ("H1m", 2, lambda l, x, y: (l.vmeet(x, l.vimpl(x, y)), l.vmeet(x, y))),
-    ("residuation", 3, lambda l, x, y, z: (l.vjoin(l.vmeet(x, z), y) == y,
-                                           l.vjoin(z, l.vimpl(x, y)) == l.vimpl(x, y))),
+    ("H2", 3, lambda l, x, y, z: (l.meet(l.impl(l.meet(x, y), x), z), z)),
+    ("H3", 3, lambda l, x, y, z: (l.meet(x, l.impl(y, z)), l.meet(x, l.impl(l.meet(x, y), l.meet(x, z))))),
+    ("H1m", 2, lambda l, x, y: (l.meet(x, l.impl(x, y)), l.meet(x, y))),
+    ("residuation", 3, lambda l, x, y, z: (_pointwise(eq, l.join(l.meet(x, z), y), y),
+                                           _pointwise(eq, l.join(z, l.impl(x, y)), l.impl(x, y)))),
 ]
 
 _BOOLEAN_LAWS = [
-    ("LEM", 1, lambda l, x: (l.vjoin(x, l.vcompl(x)), l.top)),
+    ("LEM", 1, lambda l, x: (l.join(x, l.compl(x)), l.top)),
 ]
 
 
@@ -432,7 +490,14 @@ def validate(l: Lattice, kind: str | None = None) -> list[str]:
     one per failing law, naming its first counterexample.
 
     kind is 'bdl', 'heyting' or 'boolean'; defaults to the strongest kind the
-    instance claims.  The check is cubic in the lattice size.
+    instance claims.  The check is cubic in the lattice size: size**2 rows
+    of size cells for each law of arity 3.  In process it is slower than
+    the numpy broadcast it replaced; on chains, best of 3 on a 2-core
+    container: 5 against 1 ms at 16 elements, 20 against 4 ms at 32, 85
+    against 30 ms at 64 and 0.3-0.4 against 0.25 s at 128.  A fresh
+    process that validates no longer imports numpy (~0.15 s), so it breaks
+    even near 128 elements.  Past 256 elements the rows are tuples, not
+    bytes: ``check-algebra`` on ``chain 512`` takes 78 s against 15 s.
     """
     if kind is None:
         kind = ("boolean" if isinstance(l, BooleanAlgebra)
@@ -471,12 +536,16 @@ def is_ideal(l: Lattice, members) -> bool:
     s = set(members)
     if l.bot not in s or not s <= set(range(l.size)):
         return False
-    inside = np.zeros(l.size, dtype=bool)
-    inside[list(s)] = True
-    # for x in the set and every y: x * y is in it, and so is x + y if y is
-    return _first_failure(l.size, 2, lambda x, y: (
-        inside[x] & ~(inside[l.vmeet(x, y)] & (inside[l.vjoin(x, y)] | ~inside[y])),
-        False)) is None
+    inside = [x in s for x in range(l.size)]
+    member = _Table([inside])
+
+    def law(x, y):   # for x in the set: x * y is in it, and so is x + y if y is
+        if not inside[x]:
+            return True, True
+        return _pointwise(and_, _gather(member, l.meet(x, y)),
+                          _pointwise(le, _gather(member, y), _gather(member, l.join(x, y)))), True
+
+    return _first_failure(l.size, 2, law) is None
 
 
 def principal_ideal(l: Lattice, a: int) -> frozenset:
@@ -512,14 +581,15 @@ def is_congruence(l: Lattice, partition) -> bool:
     """Partition compatible with join/meet (and impl when present): no
     operation changes class when either argument moves to the first member
     of its own class."""
-    cls = np.array(_class_map(l, partition))
+    cls = _class_map(l, partition)
     first = {}
-    rep = np.array([first.setdefault(k, x) for x, k in enumerate(cls)])
+    rep = [first.setdefault(k, x) for x, k in enumerate(cls)]
+    cls, reps = _Table([cls]), _Table([rep])
     for name in _op_names(l):
-        op = getattr(l, "v" + name)
-        if _first_failure(l.size, 2, lambda x, y: (
-                cls[op(x, y)],
-                np.where(cls[op(rep[x], y)] == cls[op(x, rep[y])], cls[op(rep[x], y)], -1))) is not None:
+        op = getattr(l, name)
+        moved = (lambda x, y: (_gather(cls, op(x, y)), _gather(cls, op(rep[x], y))),
+                 lambda x, y: (_gather(cls, op(x, y)), _gather(cls, op(x, _gather(reps, y)))))
+        if any(_first_failure(l.size, 2, law) is not None for law in moved):
             return False
     return True
 
@@ -576,12 +646,12 @@ def quotient(l: Lattice, partition):
     cls = _class_map(l, blocks)
     n = len(blocks)
     reps = [b[0] for b in blocks]
-    join = np.array([[cls[l.join(a, b)] for b in reps] for a in reps], dtype=np.int32)
-    meet = np.array([[cls[l.meet(a, b)] for b in reps] for a in reps], dtype=np.int32)
+    join = [[cls[l.join(a, b)] for b in reps] for a in reps]
+    meet = [[cls[l.meet(a, b)] for b in reps] for a in reps]
     names = tuple("|".join(l.element_name(x) for x in b) for b in blocks)
     bot, top = cls[l.bot], cls[l.top]
     if isinstance(l, HeytingAlgebra):
-        impl = np.array([[cls[l.impl(a, b)] for b in reps] for a in reps], dtype=np.int32)
+        impl = [[cls[l.impl(a, b)] for b in reps] for a in reps]
         out_cls = BooleanAlgebra if isinstance(l, BooleanAlgebra) else HeytingAlgebra
         q = out_cls(join, meet, impl, names, bot, top)
     else:
@@ -632,16 +702,13 @@ def sublattice_on(l: Lattice, members, kind: str = "bdl"):
                 f"member set is not closed: operation on "
                 f"{l.element_name(a)}, {l.element_name(b)} leaves it") from None
 
-    join = np.array([[idx(l.join(a, b), a, b) for b in emb] for a in emb],
-                    dtype=np.int32)
-    meet = np.array([[idx(l.meet(a, b), a, b) for b in emb] for a in emb],
-                    dtype=np.int32)
+    join = [[idx(l.join(a, b), a, b) for b in emb] for a in emb]
+    meet = [[idx(l.meet(a, b), a, b) for b in emb] for a in emb]
     names = tuple(l.element_name(x) for x in emb)
     bot, top = pos[l.bot], pos[l.top]
     if kind == "bdl":
         return Lattice(join, meet, names, bot, top), emb
-    impl = np.array([[idx(l.impl(a, b), a, b) for b in emb] for a in emb],
-                    dtype=np.int32)
+    impl = [[idx(l.impl(a, b), a, b) for b in emb] for a in emb]
     cls = BooleanAlgebra if kind == "boolean" else HeytingAlgebra
     return cls(join, meet, impl, names, bot, top), emb
 
@@ -690,11 +757,7 @@ def all_posets(n: int) -> tuple:
 
 
 def _poset_from_mask(mask: int, n: int, names=None) -> Poset:
-    lt = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if mask >> (i * n + j) & 1:
-                lt[i, j] = True
+    lt = [[bool(mask >> (i * n + j) & 1) for j in range(n)] for i in range(n)]
     if names is None:
         names = [f"p{i}" for i in range(n)]
     return Poset(names, lt)
@@ -706,7 +769,7 @@ def heyting_catalog(max_poset_points: int) -> tuple:
 
     Deduplicated up to lattice isomorphism (distinct posets already give
     non-isomorphic downset lattices) and sorted by size, then by the
-    lexicographic order of the operation tables.
+    lexicographic order of the operation tables, row by row.
     """
     if not 1 <= max_poset_points <= 5:
         raise ValueError("catalog supports 1..5 poset points")
@@ -715,10 +778,7 @@ def heyting_catalog(max_poset_points: int) -> tuple:
         for mask in all_posets(n):
             algs.append(downset_algebra(_poset_from_mask(mask, n)))
 
-    def sort_key(a):
-        return (a.size, a._join.tobytes(), a._meet.tobytes(), a._impl.tobytes())
-
-    algs.sort(key=sort_key)
+    algs.sort(key=lambda a: (a.size, a._join, a._meet, a._impl))
     return tuple(algs)
 
 
@@ -730,39 +790,36 @@ def find_isomorphism(l1: Lattice, l2: Lattice):
     """
     if l1.size != l2.size:
         return None
-    leq1, leq2 = l1.leq_matrix(), l2.leq_matrix()
+    (up1, down1), (up2, down2) = l1._order, l2._order
     # invariant: degree profile in the order
-    prof1 = [(int(leq1[i].sum()), int(leq1[:, i].sum())) for i in range(l1.size)]
-    prof2 = [(int(leq2[i].sum()), int(leq2[:, i].sum())) for i in range(l2.size)]
+    prof1 = [(u.bit_count(), d.bit_count()) for u, d in zip(up1, down1)]
+    prof2 = [(u.bit_count(), d.bit_count()) for u, d in zip(up2, down2)]
     if sorted(prof1) != sorted(prof2):
         return None
-    order = np.array(sorted(range(l1.size), key=lambda i: prof1[i]), dtype=np.intp)
+    order = sorted(range(l1.size), key=prof1.__getitem__)
     cands = {}
     for j, p in enumerate(prof2):
         cands.setdefault(p, []).append(j)
-    cands = {p: np.array(js, dtype=np.intp) for p, js in cands.items()}
-    image = np.full(l1.size, -1, dtype=np.intp)
-    used = np.zeros(l2.size, dtype=bool)
+    image, placed, imaged = [-1] * l1.size, 0, 0   # placed points, their images: bitmasks
     # depth-first search on an explicit stack: nxt[k] is the position in its
     # candidate list of the next image to try for order[k]
     nxt = [0]
     while nxt and len(nxt) <= len(order):
         k = len(nxt) - 1
-        i, done = order[k], order[:k]
+        i = order[k]
         if image[i] != -1:  # back from a dead end: undo this point's choice
-            used[image[i]] = False
-            image[i] = -1
-        mapped, options = image[done], cands[prof1[i]][nxt[k]:]
-        fits = np.flatnonzero(
-            ~used[options]
-            & (leq2[options[:, None], mapped] == leq1[i, done]).all(axis=1)
-            & (leq2[mapped[:, None], options] == leq1[done, i][:, None]).all(axis=0))
-        if len(fits):
-            image[i] = options[fits[0]]
-            used[image[i]] = True
-            nxt[k] += int(fits[0]) + 1
-            nxt.append(0)
-        else:
+            placed, imaged, image[i] = placed ^ 1 << i, imaged ^ 1 << image[i], -1
+        # j fits i iff the images above and below it are those of the placed
+        # points above and below i
+        want = [sum(1 << image[p] for p in _bits(m & placed)) for m in (up1[i], down1[i])]
+        options = cands[prof1[i]]
+        p = next((p for p in range(nxt[k], len(options)) if not imaged >> options[p] & 1
+                  and [up2[options[p]] & imaged, down2[options[p]] & imaged] == want), None)
+        if p is None:
             nxt.pop()
+            continue
+        image[i], placed, imaged = options[p], placed | 1 << i, imaged | 1 << options[p]
+        nxt[k] = p + 1
+        nxt.append(0)
     # a bijection preserving the order both ways is a lattice isomorphism
-    return image.tolist() if nxt else None
+    return image if nxt else None

@@ -21,9 +21,8 @@ def random_pf(rng, action, formula, tries=200):
         f_vals = [rng.randrange(formula.size) for _ in ji]
         P = dk.extend_by_irreducibles(action, formula, ji, p_vals)
         F = dk.extend_by_irreducibles(action, formula, ji, f_vals)
-        pf = formula.vmeet(P, F)
-        mask = np.arange(action.size) != action.bot
-        if (pf[mask] == formula.bot).all():
+        if all(formula.meet(int(p), int(f)) == formula.bot
+               for x, (p, f) in enumerate(zip(P, F)) if x != action.bot):
             return P, F
     # always satisfiable: permit everything, forbid nothing but 0
     P = np.full(action.size, formula.top, dtype=np.int32)

@@ -1,10 +1,12 @@
 """The hand-written law loops that ``lattice._first_failure`` replaced, kept
 as the reference the one checker is compared against.
 
-``validate`` and ``build_conditions`` broadcast in their own chunks;
-``is_ideal``, ``is_congruence`` and the operation check of
-``subalgebra_check`` are Python double loops, and ``find_isomorphism``
-recurses once per element: only call them on small inputs.
+``validate`` and ``build_conditions`` broadcast over numpy copies of the
+operation tables (``_Arrays``), read cell by cell through the scalar
+operations, in their own chunks; ``is_ideal``, ``is_congruence`` and the
+operation check of ``subalgebra_check`` are Python double loops, and
+``find_isomorphism`` recurses once per element: only call them on small
+inputs.
 """
 
 import numpy as np
@@ -14,6 +16,30 @@ from dalkit.lattice import BooleanAlgebra, HeytingAlgebra, _class_map
 from dalkit.syntax import ConditionError
 
 _CHUNK = 1 << 22
+
+
+class _Arrays:
+    """A lattice's operations over numpy index arrays, from tables filled
+    through its scalar operations."""
+
+    def __init__(self, l):
+        self.size, self.bot, self.top, self.element_name = l.size, l.bot, l.top, l.element_name
+        idx = range(l.size)
+        ops = ("join", "meet", "impl") if isinstance(l, HeytingAlgebra) else ("join", "meet")
+        self.tables = {op: np.array([[getattr(l, op)(a, b) for b in idx] for a in idx],
+                                    dtype=np.int64).reshape(l.size, l.size) for op in ops}
+
+    def vjoin(self, x, y):
+        return self.tables["join"][x, y]
+
+    def vmeet(self, x, y):
+        return self.tables["meet"][x, y]
+
+    def vimpl(self, x, y):
+        return self.tables["impl"][x, y]
+
+    def vcompl(self, x):
+        return self.tables["impl"][x, self.bot]
 
 
 def _grids(l, arity, x0, x1):
@@ -80,8 +106,9 @@ def validate(l, kind=None):
     if kind == "boolean":
         laws += _BOOLEAN_LAWS
     report = []
+    v = _Arrays(l)
     for law_id, arity, fn in laws:
-        _check_law(l, law_id, arity, fn, report)
+        _check_law(v, law_id, arity, fn, report)
     return report
 
 
@@ -89,26 +116,32 @@ def is_boolean(l):
     if not isinstance(l, HeytingAlgebra):
         return False
     idx = np.arange(l.size)
-    return bool((l.vjoin(idx, l.vcompl(idx)) == l.top).all())
+    v = _Arrays(l)
+    return bool((v.vjoin(idx, v.vcompl(idx)) == l.top).all())
 
 
 def build_conditions(action, formula, P, F, E=None):
     """The checks of conditions 6, 3, 1, 2, 4, 5 in ``build``; raises the
     ConditionError build raised, or returns None."""
     D = DeonticAlgebra(action, formula, P, F, E)
-    A, Fm = action, formula
+    A, Fm = _Arrays(action), _Arrays(formula)
     n = A.size
+    P, F = np.array(D.P, dtype=np.int64), np.array(D.F, dtype=np.int64)
+    E = None if D._E is None else np.array(D._E, dtype=np.int64)
+
+    def vE(x, y):
+        return np.where(np.asarray(x) == np.asarray(y), Fm.top, Fm.bot) if E is None else E[x, y]
 
     def name_a(i):
         return A.element_name(i)
 
-    if D._E is not None:
-        diag = D._E.diagonal()
+    if E is not None:
+        diag = E.diagonal()
         bad = np.nonzero(diag != Fm.top)[0]
         if len(bad):
             a = int(bad[0])
             raise ConditionError("6", f"E({name_a(a)}, {name_a(a)}) != top")
-        off = D._E == Fm.top
+        off = E == Fm.top
         np.fill_diagonal(off, False)
         bad = np.nonzero(off)
         if len(bad[0]):
@@ -116,8 +149,8 @@ def build_conditions(action, formula, P, F, E=None):
             raise ConditionError("6", f"E({name_a(a)}, {name_a(b)}) = top but the elements differ")
 
     idx = np.arange(n)
-    lhs = Fm.vmeet(D.P[idx], D.F[idx])
-    rhs = D.vE(idx, np.full(n, A.bot))
+    lhs = Fm.vmeet(P[idx], F[idx])
+    rhs = vE(idx, np.full(n, A.bot))
     bad = np.nonzero(lhs != rhs)[0]
     if len(bad):
         a = int(bad[0])
@@ -129,15 +162,15 @@ def build_conditions(action, formula, P, F, E=None):
         a = np.arange(a0, min(n, a0 + step))[:, None]
         b = idx[None, :]
         j = A.vjoin(a, b)
-        for cid, vec in (("1", D.P), ("2", D.F)):
+        for cid, vec in (("1", P), ("2", F)):
             lhs = vec[j]
             rhs = Fm.vmeet(vec[a], vec[b])
             bad = np.nonzero(lhs != rhs)
             if len(bad[0]):
                 i, k = int(bad[0][0]) + a0, int(bad[1][0])
                 raise ConditionError(cid, f"at ({name_a(i)}, {name_a(k)})")
-        e = D.vE(a, b)
-        for cid, vec in (("4", D.P), ("5", D.F)):
+        e = vE(a, b)
+        for cid, vec in (("4", P), ("5", F)):
             lhs = Fm.vmeet(e, vec[a])
             rhs = np.broadcast_to(vec[b], lhs.shape)
             not_leq = Fm.vjoin(lhs, rhs) != rhs
@@ -224,7 +257,7 @@ def subalgebra_check(D_sub, D, act_emb, form_emb):
 def find_isomorphism(l1, l2):
     if l1.size != l2.size:
         return None
-    leq1, leq2 = l1.leq_matrix(), l2.leq_matrix()
+    leq1, leq2 = np.array(l1.leq_matrix()), np.array(l2.leq_matrix())
     prof1 = [(int(leq1[i].sum()), int(leq1[:, i].sum())) for i in range(l1.size)]
     prof2 = [(int(leq2[i].sum()), int(leq2[:, i].sum())) for i in range(l2.size)]
     if sorted(prof1) != sorted(prof2):

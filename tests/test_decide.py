@@ -223,9 +223,9 @@ def reference_pf_maps(action, formula):
     ji = action.join_irreducibles()
     maps = [reference_extend(action, formula, ji, vals)
             for vals in it.product(range(formula.size), repeat=len(ji))]
-    rest = np.arange(action.size) != action.bot
+    rest = [x for x in range(action.size) if x != action.bot]
     for P, F in it.product(maps, maps):
-        if (formula.vmeet(P, F)[rest] == formula.bot).all():
+        if all(formula.meet(int(P[x]), int(F[x])) == formula.bot for x in rest):
             yield P, F
 
 
@@ -258,10 +258,9 @@ def _fingerprint(res):
     if isinstance(res, Unknown):
         return "unknown", res.reason
     D, h = res.algebra, res.interp
-    tables = [(L.vjoin(*np.indices((L.size, L.size))).tolist(),
-               L.vmeet(*np.indices((L.size, L.size))).tolist())
-              for L in (D.action, D.formula)]
-    return "countermodel", tables, D.P.tolist(), D.F.tolist(), h.act, h.prop
+    tables = [[[op(a, b) for b in range(L.size)] for a in range(L.size)]
+              for L in (D.action, D.formula) for op in (L.join, L.meet)]
+    return "countermodel", tables, list(D.P), list(D.F), h.act, h.prop
 
 
 @contextlib.contextmanager
@@ -473,9 +472,9 @@ def test_heyting_frontier():
     assert res == Unknown("no countermodel among 15928 catalog algebras")
     D, h = fence_scenario_search()
     assert (D.action.size, D.formula.size) == (2, 2)
-    assert (D.P.tolist(), D.F.tolist()) == ([1, 0], [1, 1])
+    assert (list(D.P), list(D.F)) == ([1, 0], [1, 1])
     assert h == dk.Interpretation(act={"isfenced": 1, "ispaintedwhite": 0})
-    assert fence_scenario_search(2)[0].P.tolist() == [1, 0]
+    assert list(fence_scenario_search(2)[0].P) == [1, 0]
     with pytest.raises(dk.BudgetExceeded, match="no fence witness within 1 candidates"):
         fence_scenario_search(1)
 
@@ -493,7 +492,7 @@ CACHE_CALLS = ((IPL_THEOREM, V.DAL_IPL, 2), ("perm(a) -> forb(a)", V.DAL_IPL, 3)
 
 def _fence_fingerprint():
     D, h = fence_scenario_search()
-    return D.P.tolist(), D.F.tolist(), h
+    return list(D.P), list(D.F), h
 
 
 def test_pair_stack_cache_matches_reference_and_cold_calls():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import dalkit as dk
+from dalkit import formats
+from dalkit.cli import main
 from dalkit.formats import AlgebraFile, read_algebra, read_model, read_proof, \
     write_algebra, write_model, write_proof
 from dalkit.syntax import LogicVariant as V
@@ -109,6 +111,55 @@ def test_read_algebra_error_line_numbers():
     assert e.value.lineno == 1
     with pytest.raises(dk.FormatError):
         read_algebra("actions: chain 2\nformulas: chain 2\nP c1 = top\n")  # no default
+
+
+@pytest.mark.parametrize("text, lineno", [("actions:\nformulas: chain 2\n", 1),
+                                          ("actions: chain 2\nformulas:   # nothing\n", 2)])
+def test_read_algebra_needs_a_constructor(text, lineno, tmp_path, capsys):
+    with pytest.raises(dk.FormatError, match="expected a lattice constructor") as e:
+        read_algebra(text)
+    assert e.value.lineno == lineno
+    path = tmp_path / "empty.daa"
+    path.write_text(text)
+    assert main(["check-algebra", "--algebra", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {lineno}: expected")
+
+
+@pytest.mark.parametrize("spec", ["chain 100000", "chain 2049",
+                                  "downsets " + " ".join(f"p{i}" for i in range(12)),
+                                  "downsets " + " ".join(f"p{i}" for i in range(40))])
+def test_read_algebra_caps_table_backed_carriers(spec, tmp_path, capsys):
+    text = f"actions: chain 2\nformulas: {spec}\nP default = top\nF default = bot\n"
+    with pytest.raises(dk.FormatError, match="more than 2048 elements") as e:
+        read_algebra(text)
+    assert e.value.lineno == 2
+    path = tmp_path / "huge.daa"
+    path.write_text(text)
+    assert main(["check-algebra", "--algebra", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
+def test_table_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(formats, "MAX_TABLE_ELEMENTS", 4)
+    for spec, size in (("chain 4", 4), ("downsets p q", 4), ("downsets p<q r<s", 9),
+                       ("chain 5", 5), ("downsets p q r", 8)):
+        text = f"actions: chain 2\nformulas: {spec}\nP default = top\nF default = bot\nF c0 = top\n"
+        if size <= 4:
+            assert read_algebra(text).algebra.formula.size == size
+        else:
+            with pytest.raises(dk.FormatError, match="more than 4 elements"):
+                read_algebra(text)
+
+
+def test_downset_count_stops_past_the_limit():
+    antichain = dk.Poset.from_edges([f"p{i}" for i in range(11)], [])
+    assert len(antichain.downset_masks()) == 2048
+    assert len(antichain.downset_masks(100)) == 128   # doubles past 100 and stops
+    fence = dk.Poset.from_edges("abcd", [("a", "b"), ("c", "b"), ("c", "d")])
+    assert fence.downset_masks() == fence.downset_masks(10) == sorted(
+        m for m in range(16)
+        if all(m >> fence.point_names.index(lo) & 1 or not m >> fence.point_names.index(hi) & 1
+               for lo, hi in (("a", "b"), ("c", "b"), ("c", "d"))))
 
 
 def test_read_algebra_condition_failures_surface():

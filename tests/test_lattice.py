@@ -169,6 +169,15 @@ def test_heyting_catalog_5_is_pinned():
     assert len(dk.heyting_catalog(5)) == 87
     assert h.hexdigest() == \
         "dab84560410510d5f741606b7e229e6aa4b8402091117268bae9f19542556c62"
+    # the same order, read through the scalar operations only: the catalog
+    # order sets the search's candidate counts and first countermodels
+    h = hashlib.sha256()
+    for a in dk.heyting_catalog(5):
+        n = range(a.size)
+        h.update(repr((a.names, *([[op(x, y) for y in n] for x in n]
+                                  for op in (a.join, a.meet, a.impl)))).encode())
+    assert h.hexdigest() == \
+        "615fed68a3f94581d05eed4ebb6bcfc5a62fba87eba95dd4f30cbfd8b113f0fe"
 
 
 def test_heyting_catalog_sizes():

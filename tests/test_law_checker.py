@@ -1,6 +1,8 @@
-"""The one law checker, lattice._first_failure: agreement with the loops it
-replaced (tests/law_reference.py) on seeded inputs, at the real chunk size
-and with lattice._CHUNK patched small so that chunk boundaries are crossed."""
+"""The one law checker, lattice._first_failure: agreement with the numpy
+loops it replaced (tests/law_reference.py) on seeded inputs.  Each check
+runs twice: on lattices of every size from 1 to 32 ("sizes-1-32"), and on
+lattices whose tables have a few cells changed, so that the laws fail at
+assorted first witnesses ("mutants")."""
 
 import random
 
@@ -13,26 +15,39 @@ import law_reference as REF
 from conftest import random_pf
 from dalkit.algebra import DeonticAlgebra
 
-# None keeps the real chunk size; 5 splits every check of more than 5 cells
-CHUNKS = [None, 5]
 
-
-@pytest.fixture(params=CHUNKS, ids=["chunk-real", "chunk-5"])
-def chunk(request, monkeypatch):
-    if request.param is not None:
-        monkeypatch.setattr(LT, "_CHUNK", request.param)
+@pytest.fixture(params=["sizes-1-32", "mutants"])
+def inputs(request):
     return request.param
 
 
 def _lattices():
-    out = [dk.chain(n) for n in (1, 2, 3, 5)]
-    out += [dk.powerset_algebra([f"t{i}" for i in range(k)]) for k in range(4)]
+    """At least one lattice of every size from 1 to 32."""
+    out = [dk.chain(n) for n in (1, 2, 3, 5, 7, 9, 10, 11, 13, 14, 15, 17, 31)]
+    out += [dk.powerset_algebra([f"t{i}" for i in range(k)]) for k in range(6)]
     out += list(dk.heyting_catalog(3))
+    out += [dk.heyting_catalog(5)[k] for k in (6, 20, 40, 50, 60, 70, 78, 84, 86)]
     out.append(dk.free_boolean(["g", "h"])[0])
     out.append(dk.SetFamilyAlgebra({"x", "y", "z"}, [{"x"}, {"y", "z"}]))
     C = dk.chain(4)
     out.append(dk.Lattice(C._join, C._meet, C.names, C.bot, C.top))
+    for n in range(18, 31):   # products of two chains, n = a * b, and chains
+        a = next((a for a in range(2, 6) if n % a == 0), None)
+        out.append(_product(dk.chain(a), dk.chain(n // a)) if a else dk.chain(n))
     return out
+
+
+def _product(l1, l2):
+    """The direct product of two table-backed Heyting algebras."""
+    pairs = [(a, b) for a in range(l1.size) for b in range(l2.size)]
+    tables = [[[l2.size * getattr(l1, op)(a, c) + getattr(l2, op)(b, d) for c, d in pairs]
+               for a, b in pairs] for op in ("join", "meet", "impl")]
+    names = [f"{l1.element_name(a)}.{l2.element_name(b)}" for a, b in pairs]
+    return dk.HeytingAlgebra(*tables, names, 0, len(pairs) - 1)
+
+
+def _inputs(which, rng, count):
+    return _lattices() if which == "sizes-1-32" else list(_mutants(rng, count))
 
 
 def _ops(l):
@@ -40,8 +55,8 @@ def _ops(l):
 
 
 def _tables(l):
-    idx = np.arange(l.size)
-    return [np.array(getattr(l, "v" + op)(idx[:, None], idx[None, :]), dtype=np.int32)
+    row = tuple(range(l.size))   # each operation maps over a row argument
+    return [np.array([getattr(l, op)(a, row) for a in row], dtype=np.int32).reshape(l.size, l.size)
             for op in _ops(l)]
 
 
@@ -54,17 +69,20 @@ def _rebuild(l, tables, cls=None):
     return cls(*tables[:3], names, l.bot, l.top)
 
 
+def _mutant(rng, l):
+    """l with a few random table cells changed, so that laws fail."""
+    tables = _tables(l)
+    for _ in range(rng.randint(1, 3)):
+        t = rng.choice(tables)
+        t[rng.randrange(l.size), rng.randrange(l.size)] = rng.randrange(l.size)
+    kinds = [dk.Lattice] + ([dk.HeytingAlgebra, dk.BooleanAlgebra] if len(tables) == 3 else [])
+    return _rebuild(l, tables, rng.choice(kinds))
+
+
 def _mutants(rng, count):
-    """Lattices with a few random table cells changed, so that laws fail."""
     base = [l for l in _lattices() if l.size > 1]
     for _ in range(count):
-        l = rng.choice(base)
-        tables = _tables(l)
-        for _ in range(rng.randint(1, 3)):
-            t = rng.choice(tables)
-            t[rng.randrange(l.size), rng.randrange(l.size)] = rng.randrange(l.size)
-        kinds = [dk.Lattice] + ([dk.HeytingAlgebra, dk.BooleanAlgebra] if len(tables) == 3 else [])
-        yield _rebuild(l, tables, rng.choice(kinds))
+        yield _mutant(rng, rng.choice(base))
 
 
 def _permuted(rng, l):
@@ -78,9 +96,9 @@ def _permuted(rng, l):
     return cls(*tables, names, perm[l.bot], perm[l.top])
 
 
-def test_validate_and_is_boolean_match_reference(chunk):
-    rng = random.Random(9)
-    lattices = _lattices() + list(_mutants(rng, 120))
+def test_validate_and_is_boolean_match_reference(inputs):
+    lattices = _inputs(inputs, random.Random(9), 120)
+    assert inputs == "mutants" or {l.size for l in lattices} >= set(range(1, 33))
     failing = set()
     for l in lattices:
         for kind in (None, "bdl", "heyting", "boolean"):
@@ -88,8 +106,8 @@ def test_validate_and_is_boolean_match_reference(chunk):
             assert got == REF.validate(l, kind), (l, kind)
             failing.update(r.split()[0] for r in got)
         assert dk.is_boolean(l) == REF.is_boolean(l)
-    # the mutants reach every law
-    assert {f"L{i}" for i in range(1, 13)} | {"H2", "H3", "H1m", "residuation", "LEM"} <= failing
+    if inputs == "mutants":   # the mutants reach every law
+        assert {f"L{i}" for i in range(1, 13)} | {"H2", "H3", "H1m", "residuation", "LEM"} <= failing
 
 
 def _build_outcome(fn, *args):
@@ -100,9 +118,13 @@ def _build_outcome(fn, *args):
     return None
 
 
-def _build_cases(rng, count):
-    actions = [dk.powerset_algebra([f"t{i}" for i in range(k)]) for k in range(5)]
-    actions += [dk.chain(3), dk.chain(4)] + [h for h in dk.heyting_catalog(3) if h.size <= 6]
+def _build_cases(rng, count, mutants=False):
+    if mutants:   # action lattices with changed cells, lattices or not
+        actions = list(_mutants(rng, 40))
+    else:
+        actions = [dk.powerset_algebra([f"t{i}" for i in range(k)]) for k in range(6)]
+        actions += [dk.chain(3), dk.chain(4), dk.chain(21), _product(dk.chain(3), dk.chain(9))]
+        actions += [h for h in dk.heyting_catalog(4) if h.size <= 6 or h.size in (10, 16)]
     formulas = [dk.two(), dk.chain(3), dk.powerset_algebra(["u", "w"]), dk.heyting_catalog(3)[4]]
     for _ in range(count):
         A, Fm = rng.choice(actions), rng.choice(formulas)
@@ -128,9 +150,9 @@ def _build_cases(rng, count):
         yield A, Fm, P, F, E
 
 
-def test_build_matches_reference(chunk):
+def test_build_matches_reference(inputs):
     seen = set()
-    for A, Fm, P, F, E in _build_cases(random.Random(17), 900):
+    for A, Fm, P, F, E in _build_cases(random.Random(17), 900, inputs == "mutants"):
         got = _build_outcome(dk.build, A, Fm, P, F, E)
         assert got == _build_outcome(REF.build_conditions, A, Fm, P, F, E), (A, Fm, P, F, E)
         seen.add(got and got[0])
@@ -144,7 +166,6 @@ def test_build_names_first_condition_in_fixed_order(monkeypatch):
     A, Fm = dk.powerset_algebra(["x", "y"]), dk.chain(3)
     args = (A, Fm, [2, 1, 1, 2], [2, 0, 0, 0],
             [[2, 1, 0, 0], [0, 2, 0, 1], [0, 0, 2, 0], [0, 0, 0, 2]])
-    monkeypatch.setattr(LT, "_CHUNK", A.size)
     monkeypatch.setattr(REF, "_CHUNK", A.size)
     assert _build_outcome(REF.build_conditions, *args)[:2] == ("5", "at ({}, {x})")
     assert _build_outcome(dk.build, *args)[:2] == ("1", "at ({x}, {y})")
@@ -164,9 +185,9 @@ def _ideal_candidates(rng, l):
     return out
 
 
-def test_is_ideal_matches_reference(chunk):
+def test_is_ideal_matches_reference(inputs):
     rng = random.Random(23)
-    lattices = _lattices() + list(_mutants(rng, 40))
+    lattices = _inputs(inputs, rng, 40)
     verdicts = set()
     for l in lattices:
         for s in _ideal_candidates(rng, l):
@@ -195,9 +216,9 @@ def _partitions(rng, l):
         yield blocks
 
 
-def test_is_congruence_matches_reference(chunk):
+def test_is_congruence_matches_reference(inputs):
     rng = random.Random(31)
-    lattices = _lattices() + list(_mutants(rng, 40))
+    lattices = _inputs(inputs, rng, 40)
     verdicts = set()
     for l in lattices:
         for blocks in _partitions(rng, l):
@@ -214,9 +235,12 @@ def test_is_congruence_matches_reference(chunk):
     assert not REF.is_congruence(odd, [[0], [1, 2]])
 
 
-def _subalgebra_cases(rng, count):
+def _subalgebra_cases(rng, count, mutants=False):
+    """Subalgebras with embeddings, mostly spoiled; with mutants, the sub
+    lattices have a few table cells changed."""
     actions = [dk.powerset_algebra(["x", "y", "z"]), dk.chain(4), dk.heyting_catalog(3)[-1],
-               dk.free_boolean(["g", "h"])[0]]
+               dk.free_boolean(["g", "h"])[0], dk.powerset_algebra(["x", "y", "z", "w", "v"]),
+               _product(dk.chain(3), dk.chain(9))]
     formulas = [dk.two(), dk.chain(4), dk.powerset_algebra(["u", "w"])]
     for _ in range(count):
         A, Fm = rng.choice(actions), rng.choice(formulas)
@@ -228,6 +252,8 @@ def _subalgebra_cases(rng, count):
             gens = rng.sample(range(big.size), rng.randint(0, 2))
             subs.append(dk.sublattice_on(big, dk.generated_sublattice(big, gens, kind), kind))
         (sa, act_emb), (sf, form_emb) = subs
+        if mutants:
+            sa, sf = (_mutant(rng, l) if l.size > 1 else l for l in (sa, sf))
         back = {x: i for i, x in enumerate(form_emb)}
         P_sub = [back.get(int(D.P[x]), rng.randrange(sf.size)) for x in act_emb]
         F_sub = [back.get(int(D.F[x]), rng.randrange(sf.size)) for x in act_emb]
@@ -264,9 +290,9 @@ def _tie_cases():
     yield plain(dk.chain(3)), plain(B2), [0, 0b01, 0b11], [0, 1]
 
 
-def test_subalgebra_check_matches_reference(chunk):
+def test_subalgebra_check_matches_reference(inputs):
     messages = set()
-    cases = list(_subalgebra_cases(random.Random(41), 500)) + list(_tie_cases())
+    cases = list(_subalgebra_cases(random.Random(41), 500, inputs == "mutants")) + list(_tie_cases())
     for D_sub, D, act_emb, form_emb in cases:
         got = dk.subalgebra_check(D_sub, D, act_emb, form_emb)
         assert got == REF.subalgebra_check(D_sub, D, act_emb, form_emb), (act_emb, form_emb)
@@ -274,6 +300,27 @@ def test_subalgebra_check_matches_reference(chunk):
     assert {"action: join", "action: meet", "action: impl", "formula: join"} <= messages
     assert [dk.subalgebra_check(*case)[1] for case in _tie_cases()] == [
         ["action: meet not preserved at (1, 2)"], ["action: impl not preserved at (1, 0)"]]
+
+
+def test_tuple_rows_match_reference(monkeypatch):
+    """Lattices past 256 elements, or with values past a byte, gather their
+    rows through tuples instead of bytes.translate; forcing that path on
+    small lattices gives the reference's answers too."""
+    monkeypatch.setattr(LT, "_translations", lambda rows: None)
+    monkeypatch.setattr(LT, "_byte_map", lambda f, c, first: None)
+    rng = random.Random(71)
+    lattices = [l for l in _lattices() if l.size <= 16] + list(_mutants(rng, 30))
+    lattices = [_rebuild(l, _tables(l)) if not isinstance(l, dk.PowersetAlgebra) else l
+                for l in lattices]   # fresh tables, built under the patch
+    for l in lattices:
+        assert dk.validate(l) == REF.validate(l), l
+        for s in _ideal_candidates(rng, l)[:4]:
+            assert dk.is_ideal(l, s) == REF.is_ideal(l, s), (l, sorted(s))
+        for blocks in list(_partitions(rng, l))[:4]:
+            assert dk.is_congruence(l, blocks) == REF.is_congruence(l, blocks), (l, blocks)
+    for A, Fm, P, F, E in _build_cases(random.Random(73), 150):
+        assert _build_outcome(dk.build, A, Fm, P, F, E) == \
+            _build_outcome(REF.build_conditions, A, Fm, P, F, E), (A, Fm, P, F, E)
 
 
 def test_find_isomorphism_matches_reference():
@@ -292,7 +339,7 @@ def test_find_isomorphism_beyond_recursion_depth(make):
     l2 = _permuted(random.Random(61), l1)
     iso = dk.find_isomorphism(l1, l2)
     assert sorted(iso) == list(range(l1.size))
-    assert (l1.leq_matrix() == l2.leq_matrix()[np.ix_(iso, iso)]).all()
+    assert (np.array(l1.leq_matrix()) == np.array(l2.leq_matrix())[np.ix_(iso, iso)]).all()
     assert dk.find_isomorphism(l1, l1) == list(range(l1.size))
 
 
@@ -301,5 +348,5 @@ def test_powerset_leq_matrix_is_subset_inclusion(atoms):
     B = dk.powerset_algebra([f"t{i}" for i in range(atoms)])
     idx = np.arange(B.size)
     subset = (idx[:, None] & ~idx[None, :]) == 0
-    assert (B.leq_matrix() == subset).all()
+    assert (np.array(B.leq_matrix()) == subset).all()
     assert all(B.leq(a, b) == bool(subset[a, b]) for a in idx for b in idx)

@@ -1,7 +1,7 @@
 """Start-up surface: what `import dalkit` and the CLI load, and what they export.
 
-`parse`, `check-proof`, `decide` and `eval-model` must run without numpy.
-The subprocess tests run `python -S` with only `src/` on the path, so numpy
+Every subcommand but `countermodel` must run without numpy.  The
+subprocess tests run `python -S` with only `src/` on the path, so numpy
 cannot be imported there.
 """
 
@@ -22,6 +22,8 @@ SRC = ROOT / "src"
 PROOFS = sorted((SRC / "dalkit" / "data" / "proofs").glob("*.prf")) + \
     sorted((SRC / "dalkit" / "data" / "proofs" / "bad").glob("*.prf"))
 EXPECT = re.compile(r"#\s*expect:\s*(.+)")
+DATA = SRC / "dalkit" / "data"
+ALGEBRAS = sorted(DATA.glob("*.daa"))
 
 SUBMODULES = ["algebra", "decide", "duality", "formats", "lattice", "models",
               "proof", "syntax"]
@@ -97,6 +99,75 @@ def test_decide_and_eval_model_without_numpy():
     for text, code, out in (("perm(a * ~b)", 0, "true\n"), ("perm(a)", 1, "false\n")):
         res = run_python("-m", "dalkit.cli", "eval-model", "--model", weekend, text, bare=True)
         assert (res.returncode, res.stdout, res.stderr) == (code, out, ""), text
+
+
+def _algebra_commands():
+    """(id, argv) of the subcommands that read or build algebras."""
+    drinking, closure = str(DATA / "drinking.daa"), str(DATA / "closure.daa")
+    ipl = (DATA / "theorems_ipl.txt").read_text().splitlines()[-1]
+    out = []
+    for path in ALGEBRAS:
+        out += [(f"check-algebra-{path.stem}", ["check-algebra", "--algebra", str(path)]),
+                (f"dot-{path.stem}", ["dot", "--algebra", str(path)])]
+    return out + [
+        ("eval-algebra-dal", ["eval-algebra", "--algebra", drinking,
+                              "--interp", "c=a*~b", "perm(a) -> perm(c) | forb(b)"]),
+        ("eval-algebra-dal_ipl", ["eval-algebra", "--algebra", closure, "--logic", "dal_ipl",
+                                  "--interp", "a=c1,b=c0", ipl]),
+        ("quotient", ["quotient", "--algebra", drinking, "a * b == 0", "~a == b"]),
+        ("convert-to-algebra", ["convert", "--to-algebra", "--model", str(DATA / "weekend.dam")]),
+        ("convert-to-model", ["convert", "--to-model", "--algebra", drinking]),
+        ("catalog", ["catalog", "--max-points", "3"]),
+    ]
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in _algebra_commands()],
+                         ids=[name for name, _ in _algebra_commands()])
+def test_algebra_commands_without_numpy(argv):
+    full = run_python("-m", "dalkit.cli", *argv)
+    assert full.returncode in (0, 1) and full.stdout and not full.stderr, full.stderr
+    bare = run_python("-m", "dalkit.cli", *argv, bare=True)
+    assert (bare.returncode, bare.stdout, bare.stderr) == (full.returncode, full.stdout, "")
+
+
+def test_only_countermodel_loads_numpy():
+    """With numpy importable, one interpreter runs every other subcommand
+    without loading it, and countermodel then loads it."""
+    argvs = [argv for _, argv in _algebra_commands()] + [
+        ["parse", "perm(a + b)"], ["decide", "perm(a + b) -> perm(a)"],
+        ["eval-model", "--model", str(DATA / "weekend.dam"), "perm(a)"],
+        ["check-proof", str(PROOFS[0])]]
+    res = run_python("-c", f"""if True:
+        import contextlib, io, sys
+        from dalkit.cli import main
+        for argv in {argvs!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) in (0, 1), argv
+            assert "numpy" not in sys.modules, argv
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["countermodel", "--logic", "dal_ipl", "perm(a) | !perm(a)"]) == 1
+        assert "numpy" in sys.modules
+        """)
+    assert res.returncode == 0, res.stderr
+
+
+def test_algebra_files_read_build_and_validate_without_loading_numpy():
+    """With numpy importable, reading, building, validating and writing the
+    shipped algebras still leaves it unloaded."""
+    res = run_python("-c", f"""if True:
+        import sys
+        import dalkit as dk
+        for path in {[str(p) for p in ALGEBRAS]!r}:
+            af = dk.read_algebra(open(path).read())
+            D = af.algebra
+            assert dk.validate(D.action) == [] and dk.validate(D.formula) == []
+            E = None if D.crisp_equality else [[D.E(a, b) for b in range(D.action.size)]
+                                               for a in range(D.action.size)]
+            dk.build(D.action, D.formula, D.P, D.F, E)
+            assert dk.read_algebra(dk.write_algebra(af)).algebra.P == D.P
+        assert "numpy" not in sys.modules, sorted(sys.modules)
+        """)
+    assert res.returncode == 0, res.stderr
 
 
 def expected_check(path):
