@@ -236,20 +236,11 @@ class _AlgebraArrays:
     def __init__(self, D):
         import numpy as np
         self.action, self.formula = _arrays(D.action), _arrays(D.formula)
-        self._P, self._F = np.array(D.P, np.int32), np.array(D.F, np.int32)
-        self._E = None if D._E is None else np.array(D._E, np.int32)
-
-    def E(self, x, y):
-        if self._E is None:
-            import numpy as np
-            return np.where(np.asarray(x) == np.asarray(y), self.formula.top, self.formula.bot)
-        return self._E[x, y]
-
-    def perm(self, x):
-        return self._P[x]
-
-    def forb(self, x):
-        return self._F[x]
+        self.perm, self.forb = np.array(D.P, np.int32).take, np.array(D.F, np.int32).take
+        bot, top = self.formula.bot, self.formula.top
+        E = None if D._E is None else np.array(D._E, np.int32)
+        self.E = ((lambda x, y: np.where(np.asarray(x) == np.asarray(y), top, bot)) if E is None
+                  else lambda x, y: E[x, y])
 
 
 def _arrays(x):

@@ -8,11 +8,11 @@ numpy; ``algebra`` and ``decide`` copy the tables into numpy arrays where
 they evaluate over arrays of elements.
 
 Every operation takes, for each argument, an element or a row of
-elements: a ``bytes`` object when the elements fit in a byte, else a tuple.
-With a row it returns the row of results, gathered at C speed: a bytes row
-through ``bytes.translate`` with one 256-byte row or column of the table,
-a tuple row through an ``operator.itemgetter`` or an ``operator`` function.
-Scalar evaluation passes elements; the law checker passes rows.
+elements: a tuple, or a range for the whole carrier.  With a row it
+returns the row of results, gathered at C speed by an ``operator.itemgetter``
+or mapped with an ``operator`` function; a whole-carrier row of a table is
+the table's own row or column, so it costs nothing.  Scalar evaluation
+passes elements; the law checker passes rows.
 
 Defining equations checked by ``validate``:
 
@@ -32,50 +32,26 @@ deontic conditions and for operation preservation.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 from operator import and_, eq, getitem, itemgetter, le, or_, xor
 
 
-_ROWS = (bytes, tuple)
+_ROWS = (tuple, range)
 
 
 def _pointwise(f, a, b):
     """f(a, b), mapped over whichever of a and b is a row."""
     if a.__class__ in _ROWS:
-        if a.__class__ is bytes and b.__class__ is int and (t := _byte_map(f, b, False)):
-            return a.translate(t)
         return tuple(map(f, a, b if b.__class__ in _ROWS else itertools.repeat(b)))
     if b.__class__ in _ROWS:
-        if b.__class__ is bytes and a.__class__ is int and (t := _byte_map(f, a, True)):
-            return b.translate(t)
         return tuple(map(f, itertools.repeat(a), b))
     return f(a, b)
 
 
-@lru_cache(maxsize=None)
-def _byte_map(f, c, first):
-    """The translation table of v -> f(c, v) (first) or f(v, c), or None if
-    a value does not fit in a byte."""
-    try:
-        return bytes(f(c, v) if first else f(v, c) for v in range(256))
-    except (ValueError, TypeError):
-        return None
-
-
-def _translations(rows):
-    """The rows as 256-byte translation tables, or None if there are more
-    than 256 or a value is not a byte."""
-    try:
-        return [bytes(r) + bytes(256 - len(r)) for r in rows] if len(rows) <= 256 else None
-    except ValueError:
-        return None
-
-
 class _Table(tuple):
     """An operation table, as the tuple of its row tuples of ints; a numpy
-    array converts through its ``tolist``.  ``cols`` are its columns, and
-    ``fwd[a]`` and ``back[b]`` row a and column b as translation tables, or
-    None (see _translations).  A one-row table is a map from elements."""
+    array converts through its ``tolist``.  ``cols`` are its columns.  A
+    one-row table is a map from elements."""
 
     def __new__(cls, rows):
         return super().__new__(cls, (tuple(map(int, r)) for r in getattr(rows, "tolist", lambda: rows)()))
@@ -84,17 +60,12 @@ class _Table(tuple):
     def cols(self):
         return tuple(zip(*self))
 
-    @cached_property
-    def fwd(self):
-        return _translations(self)
-
-    @cached_property
-    def back(self):
-        return self.fwd and _translations(self.cols)
-
 
 def _take(seq, row):
-    """The tuple of seq[i] for i in the row, gathered by an itemgetter."""
+    """The tuple of seq[i] for i in the row: a slice for a range, else
+    gathered by an itemgetter."""
+    if row.__class__ is range:
+        return seq[row.start:row.stop:row.step]
     return itemgetter(*row)(seq) if len(row) > 1 else tuple(seq[i] for i in row)
 
 
@@ -103,9 +74,9 @@ def _lookup(t, a, b):
     if a.__class__ in _ROWS:
         if b.__class__ in _ROWS:
             return tuple(map(getitem, map(t.__getitem__, a), b))
-        return a.translate(t.back[b]) if a.__class__ is bytes and t.back else _take(t.cols[b], a)
+        return _take(t.cols[b], a)
     if b.__class__ in _ROWS:
-        return b.translate(t.fwd[a]) if b.__class__ is bytes and t.fwd else _take(t[a], b)
+        return _take(t[a], b)
     return t[a][b]
 
 
@@ -420,12 +391,20 @@ def downset_algebra(poset: Poset) -> HeytingAlgebra:
     masks = poset.downset_masks()
     index = {m: i for i, m in enumerate(masks)}
     pts = range(poset.n)
-    downcone = [_mask(col) | 1 << i for i, col in enumerate(zip(*poset.lt))]
+    upcone = [_mask(row) | 1 << i for i, row in enumerate(poset.lt)]
     join = [[index[a | b] for b in masks] for a in masks]
     meet = [[index[a & b] for b in masks] for a in masks]
-    # x is in a ~> b iff the downcone of x meets a only inside b
-    impl = [[index[sum(1 << x for x in pts if not downcone[x] & a & ~b)] for b in masks]
-            for a in masks]
+    # x is in a ~> b iff nothing of a outside b lies below x: a ~> b is the
+    # complement of the upset of a & ~b, kept per a & ~b
+    above = {}
+
+    def upset(d):
+        if d not in above:
+            above[d] = reduce(or_, map(upcone.__getitem__, _bits(d)), 0)
+        return above[d]
+
+    full = (1 << poset.n) - 1
+    impl = [[index[full & ~upset(a & ~b)] for b in masks] for a in masks]
     names = tuple(
         "{" + " ".join(poset.point_names[i] for i in pts if m >> i & 1) + "}" for m in masks
     )
@@ -447,7 +426,7 @@ def _first_failure(size: int, arity: int, fn):
     to elements and the last one the row of all elements, 0 to size - 1;
     each side is an element or a row, and the law fails where they differ.
     """
-    row = bytes(range(size)) if size <= 256 else tuple(range(size))
+    row = range(size)
     for outer in itertools.product(range(size), repeat=arity - 1):
         lhs, rhs = fn(*outer, row)
         if lhs.__class__ is not rhs.__class__ or lhs != rhs:
@@ -491,13 +470,15 @@ def validate(l: Lattice, kind: str | None = None) -> list[str]:
 
     kind is 'bdl', 'heyting' or 'boolean'; defaults to the strongest kind the
     instance claims.  The check is cubic in the lattice size: size**2 rows
-    of size cells for each law of arity 3.  In process it is slower than
-    the numpy broadcast it replaced; on chains, best of 3 on a 2-core
-    container: 5 against 1 ms at 16 elements, 20 against 4 ms at 32, 85
-    against 30 ms at 64 and 0.3-0.4 against 0.25 s at 128.  A fresh
-    process that validates no longer imports numpy (~0.15 s), so it breaks
-    even near 128 elements.  Past 256 elements the rows are tuples, not
-    bytes: ``check-algebra`` on ``chain 512`` takes 78 s against 15 s.
+    of size cells for each law of arity 3, each row gathered by an
+    itemgetter.  In process it is slower than the numpy broadcast it
+    replaced; on chains, best of 3 on a 2-core container, over two runs:
+    5-8 against 0.5-0.8 ms at 16 elements, 21-35 against 2-4 ms at 32,
+    0.12-0.18 against 0.02-0.03 s at 64 and 0.67-0.75 against 0.14-0.21 s
+    at 128.  A process that validates no longer imports numpy (~0.1 s), so
+    it breaks even near 64 elements.  ``check-algebra`` on ``chain 256``,
+    the largest carrier the file reader builds tables for, takes ~6 s
+    against ~2 s.
     """
     if kind is None:
         kind = ("boolean" if isinstance(l, BooleanAlgebra)

@@ -125,30 +125,47 @@ def test_read_algebra_needs_a_constructor(text, lineno, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: line {lineno}: expected")
 
 
-@pytest.mark.parametrize("spec", ["chain 100000", "chain 2049",
-                                  "downsets " + " ".join(f"p{i}" for i in range(12)),
-                                  "downsets " + " ".join(f"p{i}" for i in range(40))])
-def test_read_algebra_caps_table_backed_carriers(spec, tmp_path, capsys):
+@pytest.mark.parametrize("spec", ["chain 100000", "chain 257",
+                                  "downsets " + " ".join(f"p{i}" for i in range(9)),
+                                  "downsets " + " ".join(f"p{i}" for i in range(40)),
+                                  "downsets " + " ".join(f"p{i}<p{i + 1}" for i in range(255))])
+def test_read_algebra_caps_table_backed_carriers(spec, tmp_path, capsys, monkeypatch):
+    closed = []   # 256 points have at least 257 downsets: rejected before any closure
+    from_edges = dk.Poset.from_edges.__func__
+    monkeypatch.setattr(dk.Poset, "from_edges", classmethod(
+        lambda cls, names, edges: closed.append(len(names)) or from_edges(cls, names, edges)))
     text = f"actions: chain 2\nformulas: {spec}\nP default = top\nF default = bot\n"
-    with pytest.raises(dk.FormatError, match="more than 2048 elements") as e:
+    with pytest.raises(dk.FormatError, match="more than 256 elements") as e:
         read_algebra(text)
     assert e.value.lineno == 2
     path = tmp_path / "huge.daa"
     path.write_text(text)
     assert main(["check-algebra", "--algebra", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: line 2: ")
+    assert max(closed, default=0) < 256
 
 
 def test_table_cap_is_inclusive(monkeypatch):
     monkeypatch.setattr(formats, "MAX_TABLE_ELEMENTS", 4)
     for spec, size in (("chain 4", 4), ("downsets p q", 4), ("downsets p<q r<s", 9),
-                       ("chain 5", 5), ("downsets p q r", 8)):
+                       ("chain 5", 5), ("downsets p q r", 8), ("downsets p<q q<r r<s", 5)):
         text = f"actions: chain 2\nformulas: {spec}\nP default = top\nF default = bot\nF c0 = top\n"
         if size <= 4:
             assert read_algebra(text).algebra.formula.size == size
         else:
             with pytest.raises(dk.FormatError, match="more than 4 elements"):
                 read_algebra(text)
+
+
+def test_carriers_at_the_cap_are_read():
+    """The largest table-backed carriers read and build in about a second;
+    ``check-algebra`` on them takes seconds (on a 2-core container, ~6 s for
+    a ``chain 256`` file and ~13 s with both sorts the downsets of a
+    255-point chain), as ``validate`` is cubic in the carrier size."""
+    chain = " ".join(f"p{i}<p{i + 1}" for i in range(254))
+    for spec, bot in (("chain 256", "c0"), (f"downsets {chain}", "{}")):
+        text = f"actions: {spec}\nformulas: chain 2\nP default = top\nF default = bot\nF {bot} = top\n"
+        assert read_algebra(text).algebra.action.size == formats.MAX_TABLE_ELEMENTS == 256
 
 
 def test_downset_count_stops_past_the_limit():

@@ -302,27 +302,6 @@ def test_subalgebra_check_matches_reference(inputs):
         ["action: meet not preserved at (1, 2)"], ["action: impl not preserved at (1, 0)"]]
 
 
-def test_tuple_rows_match_reference(monkeypatch):
-    """Lattices past 256 elements, or with values past a byte, gather their
-    rows through tuples instead of bytes.translate; forcing that path on
-    small lattices gives the reference's answers too."""
-    monkeypatch.setattr(LT, "_translations", lambda rows: None)
-    monkeypatch.setattr(LT, "_byte_map", lambda f, c, first: None)
-    rng = random.Random(71)
-    lattices = [l for l in _lattices() if l.size <= 16] + list(_mutants(rng, 30))
-    lattices = [_rebuild(l, _tables(l)) if not isinstance(l, dk.PowersetAlgebra) else l
-                for l in lattices]   # fresh tables, built under the patch
-    for l in lattices:
-        assert dk.validate(l) == REF.validate(l), l
-        for s in _ideal_candidates(rng, l)[:4]:
-            assert dk.is_ideal(l, s) == REF.is_ideal(l, s), (l, sorted(s))
-        for blocks in list(_partitions(rng, l))[:4]:
-            assert dk.is_congruence(l, blocks) == REF.is_congruence(l, blocks), (l, blocks)
-    for A, Fm, P, F, E in _build_cases(random.Random(73), 150):
-        assert _build_outcome(dk.build, A, Fm, P, F, E) == \
-            _build_outcome(REF.build_conditions, A, Fm, P, F, E), (A, Fm, P, F, E)
-
-
 def test_find_isomorphism_matches_reference():
     rng = random.Random(53)
     small = [l for l in _lattices() if l.size <= 8] + list(dk.heyting_catalog(4))[:30]
