@@ -36,7 +36,6 @@ algebra); they and the P/F enumeration import numpy when called.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
 from operator import eq
 
 from . import syntax as S
@@ -45,11 +44,10 @@ from .lattice import (HeytingAlgebra, PowersetAlgebra, _first_failure,
 from .syntax import BudgetExceeded, ConditionError  # defined numpy-free, re-exported here
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(S.Record):
     """Maps basic action symbols and propositions to algebra elements."""
-    act: dict = field(default_factory=dict)
-    prop: dict = field(default_factory=dict)
+    act: dict = {}   # each default is copied per instance
+    prop: dict = {}
 
 
 class DeonticAlgebra:

@@ -28,7 +28,6 @@ failing row gives the first failing candidate.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,8 +41,7 @@ from .models import (EMPTY, FORBIDDEN, NEUTRAL, PERMITTED, AtomAssignment,
 from .syntax import LogicVariant as V
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(S.Record):
     reason: str
 
 

@@ -17,11 +17,11 @@ its atoms (x maps to the atoms below x), yielding a concrete algebra.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .algebra import DeonticAlgebra, Interpretation, build
 from .lattice import PowersetAlgebra, SetFamilyAlgebra, two
 from .models import DeonticModel, Valuation
+from .syntax import Record
 
 
 def _generated_field(universe, generators):
@@ -131,11 +131,10 @@ def stoneify(D: DeonticAlgebra):
     return build(act2, form2, P2, F2, E2), (aiso, fiso)
 
 
-@dataclass
-class RoundTripReport:
+class RoundTripReport(Record, frozen=False):
     model_equal: bool
     algebra_equal: bool
-    details: list = field(default_factory=list)
+    details: list = []   # copied per instance
 
     @property
     def ok(self):

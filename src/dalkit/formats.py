@@ -32,7 +32,6 @@ square of that count, and ``check-algebra``'s law check with the cube, to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import proof as P
@@ -117,8 +116,7 @@ def write_model(M: DeonticModel, v: Valuation, prop_val=None) -> str:
 # Algebras
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AlgebraFile:
+class AlgebraFile(S.Record, frozen=False):
     """A deontic algebra plus what is needed to interpret and re-write it."""
     algebra: DeonticAlgebra
     action_spec: str

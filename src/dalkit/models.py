@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools as it
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import syntax as S
@@ -36,8 +35,7 @@ if TYPE_CHECKING:
     from .algebra import DeonticAlgebra, Interpretation
 
 
-@dataclass(frozen=True)
-class DeonticModel:
+class DeonticModel(S.Record):
     elements: tuple
     permitted: frozenset
     forbidden: frozenset
@@ -55,9 +53,8 @@ class DeonticModel:
             raise ValueError("permitted and forbidden must be disjoint")
 
 
-@dataclass(frozen=True)
-class Valuation:
-    map: dict = field(default_factory=dict)
+class Valuation(S.Record):
+    map: dict
 
     def __init__(self, map=()):
         object.__setattr__(self, "map", {k: frozenset(v) for k, v in dict(map).items()})
@@ -147,13 +144,11 @@ def sat(M: DeonticModel, v: Valuation, phi: S.FormulaTerm, prop_val=None) -> boo
 EMPTY, PERMITTED, FORBIDDEN, NEUTRAL = range(4)
 
 
-@dataclass(frozen=True)
-class Valid:
+class Valid(S.Record):
     pass
 
 
-@dataclass(frozen=True)
-class Countermodel:
+class Countermodel(S.Record):
     model: DeonticModel | None = None
     valuation: Valuation | None = None
     prop_val: dict | None = None
@@ -161,14 +156,13 @@ class Countermodel:
     interp: Interpretation | None = None
 
 
-@dataclass(frozen=True)
-class AtomAssignment:
+class AtomAssignment(S.Record):
     """One point of the canonical search space: a status per Boolean atom
     over `actions` (atom index = bitmask of positive actions) plus one
     boolean per proposition."""
     actions: tuple
     statuses: tuple
-    prop_val: dict = field(default_factory=dict)
+    prop_val: dict = {}   # copied per instance
 
     def induced_model(self):
         elems = tuple(f"e{t}" for t, s in enumerate(self.statuses) if s != EMPTY)

@@ -25,41 +25,35 @@ Axiom identifiers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import syntax as S
 from .syntax import LogicVariant as V
 
 
-@dataclass(frozen=True)
-class AxiomSchema:
+class AxiomSchema(S.Record):
     id: str
     pattern: S.FormulaTerm | None   # None: matched specially (E2)
     variant: V
     basic_vars: frozenset = frozenset()   # metavariables restricted to Basic
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(S.Record):
     id: str
 
 
-@dataclass(frozen=True)
-class MP:
+class MP(S.Record):
     i: int
     j: int
 
 
-@dataclass(frozen=True)
-class Proof:
+class Proof(S.Record):
     variant: V
     lines: tuple   # of (FormulaTerm, Axiom | MP)
     alphabet: tuple | None = None
 
 
-@dataclass(frozen=True)
-class ProofResult:
+class ProofResult(S.Record):
     ok: bool
     line: int | None = None
     reason: str | None = None

@@ -19,12 +19,17 @@ DAL_IPL / DAL_INT implication is a primitive connective (and '<->' still
 expands to a conjunction of implications).  The parser is one loop over an
 operand stack and an operator stack; it hash-conses each node as it reduces
 it, so a parsed term comes with its compile_term table.
+
+Terms, like the proof and result classes of the other modules, are records:
+subclasses of ``Record``, which reads a class's fields from its annotations
+and compiles an ``__init__`` for them when the class is made, with nothing
+imported.  Terms compare and hash by their compile_term tables, so neither
+recurses into a deep term.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from enum import Enum
 
 
@@ -66,123 +71,181 @@ _PROP_VARIANTS = (LogicVariant.DAL_PROP, LogicVariant.DAL_IPL,
 
 
 # ---------------------------------------------------------------------------
-# AST
+# Records and the AST
 # ---------------------------------------------------------------------------
 
-class ActionTerm:
+class Record:
+    """Base of dalkit's value classes: terms, proofs and results.
+
+    A record's fields, ``_fields``, are its bases' fields, then its own
+    annotated names.  A class attribute named like a field is its default; a
+    dict or list default is copied for each instance.  Unless the class
+    defines ``__init__`` or has no fields, it gets one compiled for its
+    fields, which sets them through ``object.__setattr__``.  Records
+    compare, hash and print by their fields, and assigning to one raises
+    AttributeError; ``class R(Record, frozen=False)`` makes R's instances
+    assignable and unhashable."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, frozen=True):
+        super().__init_subclass__()
+        cls._fields = cls._fields + tuple(cls.__annotations__)
+        if not frozen:   # assignable, and so unhashable
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+        if cls._fields and "__init__" not in cls.__dict__:
+            cls.__init__ = _record_init(cls)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{self.__class__.__qualname__}({args})"
+
+
+_INIT_CODE = {}   # source: code, shared by the records of one signature
+
+
+def _record_init(cls):
+    """cls's __init__; the default of field k is the global _d<k>.  It sets
+    no attribute through the instance's __dict__, which would make Python
+    build a dict per record, and more work for the garbage collector."""
+    env, params, body = {"_set": object.__setattr__}, [], ""
+    for k, f in enumerate(cls._fields):
+        default, param, stored = getattr(cls, f, env), f, f
+        if default is not env:
+            env[f"_d{k}"], param = default, f"{f}=_d{k}"
+            if isinstance(default, (dict, list)):
+                stored = f"{f}.copy() if {f} is _d{k} else {f}"
+        params.append(param)
+        body += f"\n    _set(self, {f!r}, {stored})"
+    src = f"def __init__(self, {', '.join(params)}):{body}"
+    exec(_INIT_CODE.get(src) or _INIT_CODE.setdefault(src, compile(src, "<record>", "exec")), env)
+    return env["__init__"]
+
+
+class _Term(Record):
+    """Terms compare and hash by their compile_term tables, which equal
+    terms share, so neither recurses into a deep term."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return compile_term(self) == compile_term(other)
+
+    def __hash__(self):
+        return hash(compile_term(self))
+
+
+class ActionTerm(_Term):
     """Base class of action-sorted terms."""
 
 
-class FormulaTerm:
+class FormulaTerm(_Term):
     """Base class of formula-sorted terms."""
 
 
-@dataclass(frozen=True)
 class Basic(ActionTerm):
     name: str
 
 
-@dataclass(frozen=True)
 class Zero(ActionTerm):
     pass
 
 
-@dataclass(frozen=True)
 class One(ActionTerm):
     pass
 
 
-@dataclass(frozen=True)
 class Union(ActionTerm):
     left: ActionTerm
     right: ActionTerm
 
 
-@dataclass(frozen=True)
 class Inter(ActionTerm):
     left: ActionTerm
     right: ActionTerm
 
 
-@dataclass(frozen=True)
 class Compl(ActionTerm):
     arg: ActionTerm
 
 
-@dataclass(frozen=True)
 class AImpl(ActionTerm):
     """Action implication (relative pseudocomplement), written '~>'."""
     left: ActionTerm
     right: ActionTerm
 
 
-@dataclass(frozen=True)
 class AVar(ActionTerm):
     """Action metavariable; only occurs in axiom schemas."""
     name: str
 
 
-@dataclass(frozen=True)
 class Eq(FormulaTerm):
     left: ActionTerm
     right: ActionTerm
 
 
-@dataclass(frozen=True)
 class Perm(FormulaTerm):
     arg: ActionTerm
 
 
-@dataclass(frozen=True)
 class Forb(FormulaTerm):
     arg: ActionTerm
 
 
-@dataclass(frozen=True)
 class Prop(FormulaTerm):
     name: str
 
 
-@dataclass(frozen=True)
 class Or(FormulaTerm):
     left: FormulaTerm
     right: FormulaTerm
 
 
-@dataclass(frozen=True)
 class And(FormulaTerm):
     left: FormulaTerm
     right: FormulaTerm
 
 
-@dataclass(frozen=True)
 class Not(FormulaTerm):
     arg: FormulaTerm
 
 
-@dataclass(frozen=True)
 class Impl(FormulaTerm):
     left: FormulaTerm
     right: FormulaTerm
 
 
-@dataclass(frozen=True)
 class Iff(FormulaTerm):
     left: FormulaTerm
     right: FormulaTerm
 
 
-@dataclass(frozen=True)
 class Bot(FormulaTerm):
     pass
 
 
-@dataclass(frozen=True)
 class Top(FormulaTerm):
     pass
 
 
-@dataclass(frozen=True)
 class FVar(FormulaTerm):
     """Formula metavariable; only occurs in axiom schemas."""
     name: str
@@ -191,8 +254,7 @@ class FVar(FormulaTerm):
 Term = ActionTerm | FormulaTerm
 
 
-@dataclass(frozen=True)
-class SymbolSet:
+class SymbolSet(Record):
     """Basic-action and proposition symbols of a term, each sorted."""
     actions: tuple[str, ...]
     props: tuple[str, ...]
@@ -410,7 +472,7 @@ def parse_formula(text: str, variant: LogicVariant = LogicVariant.DAL,
 
 _TERMS = frozenset(ActionTerm.__subclasses__() + FormulaTerm.__subclasses__())
 _NAMED = frozenset((Basic, AVar, Prop, FVar))
-_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _TERMS}
+_FIELDS = {cls: cls._fields for cls in _TERMS}
 _CLOSE = object()   # stack marker: build the row of the node below it
 
 

@@ -107,17 +107,15 @@ def random_formula(rng, depth, variant=dk.LogicVariant.DAL, acts=("a", "b"),
 
 def instantiate(pat, subst):
     """Fill a schema pattern's metavariables from a substitution map."""
-    import dataclasses
-
     import dalkit.syntax as S
     if isinstance(pat, (S.AVar, S.FVar)):
         return subst[pat.name]
-    if not dataclasses.fields(pat):
+    if not pat._fields:
         return pat
-    return type(pat)(**{f.name: instantiate(getattr(pat, f.name), subst)
-                        if isinstance(getattr(pat, f.name), S.Term)
-                        else getattr(pat, f.name)
-                        for f in dataclasses.fields(pat)})
+    return type(pat)(**{f: instantiate(getattr(pat, f), subst)
+                        if isinstance(getattr(pat, f), S.Term)
+                        else getattr(pat, f)
+                        for f in pat._fields})
 
 
 @pytest.fixture

@@ -1,11 +1,10 @@
 """The recursive proof matcher that dalkit.proof replaced, kept as the
 reference the row-based matcher is compared against.
 
-It compares terms with the dataclass ``==`` and walks them recursively, so
-it overflows the stack on deep terms: only call it on small inputs.
+It walks terms recursively, field by field, and compares subterms with the
+terms' ``==``, which compares their compile_term tables.  The recursion
+overflows the stack on deep terms: only call it on small inputs.
 """
-
-import dataclasses
 
 import dalkit.syntax as S
 from dalkit.proof import MP, OK, Axiom, ProofResult, axiom_table
@@ -18,8 +17,8 @@ def is_substitution_instance(psi, phi, alpha, beta):
             return True
         if type(res) is not type(orig):
             return False
-        for f in dataclasses.fields(orig):
-            a, b = getattr(res, f.name), getattr(orig, f.name)
+        for f in orig._fields:
+            a, b = getattr(res, f), getattr(orig, f)
             if isinstance(b, (S.ActionTerm, S.FormulaTerm)):
                 if not match(a, b):
                     return False
@@ -47,8 +46,8 @@ def match_pattern(pat, t, binds):
         return True
     if type(pat) is not type(t):
         return False
-    for f in dataclasses.fields(pat):
-        pv, tv = getattr(pat, f.name), getattr(t, f.name)
+    for f in pat._fields:
+        pv, tv = getattr(pat, f), getattr(t, f)
         if isinstance(pv, S.Term):
             if not match_pattern(pv, tv, binds):
                 return False

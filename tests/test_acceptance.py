@@ -30,17 +30,8 @@ SEED = 20260814
 def _meta_to_symbols(pat):
     """Turn schema metavariables into plain symbols so the batch evaluator
     can range them over whole carriers."""
-    import dataclasses
-    if isinstance(pat, S.AVar):
-        return S.Basic(pat.name)
-    if isinstance(pat, S.FVar):
-        return S.Prop(pat.name)
-    if not dataclasses.fields(pat):
-        return pat
-    return type(pat)(**{f.name: _meta_to_symbols(getattr(pat, f.name))
-                        if isinstance(getattr(pat, f.name), S.Term)
-                        else getattr(pat, f.name)
-                        for f in dataclasses.fields(pat)})
+    acts, forms = S.metavariables(pat)
+    return instantiate(pat, {**{n: S.Basic(n) for n in acts}, **{n: S.Prop(n) for n in forms}})
 
 
 def _holds_everywhere(D, term):

@@ -48,9 +48,9 @@ def _replace_some(t, alpha, beta, rng):
     """t with a random subset of the occurrences of alpha replaced by beta."""
     if t == alpha and rng.random() < 0.5:
         return beta
-    if isinstance(t, (S.Basic, S.Prop)) or not vars(t):
+    if isinstance(t, (S.Basic, S.Prop)) or not t._fields:
         return t
-    return type(t)(*(_replace_some(k, alpha, beta, rng) for k in vars(t).values()))
+    return type(t)(*(_replace_some(getattr(t, f), alpha, beta, rng) for f in t._fields))
 
 
 def _inputs(variant, rng):

@@ -132,7 +132,8 @@ def test_algebra_commands_without_numpy(argv):
 
 def test_only_countermodel_loads_numpy():
     """With numpy importable, one interpreter runs every other subcommand
-    without loading it, and countermodel then loads it."""
+    without loading it, and countermodel then loads it.  No subcommand
+    loads dataclasses."""
     argvs = [argv for _, argv in _algebra_commands()] + [
         ["parse", "perm(a + b)"], ["decide", "perm(a + b) -> perm(a)"],
         ["eval-model", "--model", str(DATA / "weekend.dam"), "perm(a)"],
@@ -143,11 +144,25 @@ def test_only_countermodel_loads_numpy():
         for argv in {argvs!r}:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) in (0, 1), argv
-            assert "numpy" not in sys.modules, argv
+            assert "numpy" not in sys.modules and "dataclasses" not in sys.modules, argv
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["countermodel", "--logic", "dal_ipl", "perm(a) | !perm(a)"]) == 1
-        assert "numpy" in sys.modules
+        assert "numpy" in sys.modules and "dataclasses" not in sys.modules
         """)
+    assert res.returncode == 0, res.stderr
+
+
+def test_submodules_load_neither_dataclasses_nor_inspect():
+    """Every submodule but decide, which imports numpy, imports without
+    dataclasses or inspect; the records are built on syntax.Record."""
+    modules = [f"dalkit.{name}" for name in SUBMODULES if name != "decide"] + ["dalkit.cli"]
+    res = run_python("-c", f"""if True:
+        import importlib, sys
+        for name in {modules!r}:
+            importlib.import_module(name)
+        loaded = sorted({{"dataclasses", "inspect"}} & set(sys.modules))
+        assert not loaded, loaded
+        """, bare=True)
     assert res.returncode == 0, res.stderr
 
 

@@ -47,7 +47,7 @@ def test_compile_term_keeps_its_table_on_the_term():
     assert S.compile_term(built) is S.compile_term(built)
     # a kept table is no child: the term interns as an equal term without one
     bare = S.desugar(phi, V.DAL)
-    assert bare == phi and "_table" not in vars(bare)
+    assert "_table" not in vars(bare) and bare == phi   # == keeps bare's table too
     space = S.TermSpace()
     assert space.intern(phi) == space.intern(bare) == len(S.compile_term(phi)) - 1
     assert tuple(row[:3] for row in S.compile_term(phi)) == tuple(space.rows)
