@@ -1,12 +1,12 @@
 """Hilbert-style proof checking for every logic variant.
 
 A proof is a sequence of formulas, each justified as an instance of an axiom
-schema or by modus ponens from two earlier lines.  A check hash-conses
-its lines and patterns into one syntax.TermSpace, and a schema matches by one
-loop over (pattern row, line row) pairs that binds each metavariable (AVar
-over action terms, FVar over formulas) to one row.  Under classical variants
-the modus-ponens major premise must have the desugared implication shape
-!x | y, under DAL_IPL/DAL_INT the primitive one.
+schema or by modus ponens from two earlier lines.  A check replays the
+tables of its lines, parsed with them, and patterns into one TermSpace, and
+a schema matches by one loop over (pattern row, line row) pairs that binds
+each metavariable (AVar over action terms, FVar over formulas) to one row.
+The modus-ponens major premise must be the row TermSpace.impl makes: !x | y
+under classical variants, x -> y under DAL_IPL/DAL_INT.
 
 Axiom identifiers:
 
@@ -273,7 +273,8 @@ def match_schema(phi: S.FormulaTerm, schema: AxiomSchema):
     binds = _match(space, space.intern(phi), schema)
     if binds is None:
         return False, None
-    return True, {name: space.terms[r] for name, r in binds.items()}
+    terms = S._terms(space.rows)
+    return True, {name: terms[r] for name, r in binds.items()}
 
 
 def check_proof(p: Proof, variant: V | None = None) -> ProofResult:
@@ -294,8 +295,7 @@ def check_proof(p: Proof, variant: V | None = None) -> ProofResult:
         elif isinstance(just, MP):
             if not (1 <= just.i < k and 1 <= just.j < k):
                 return ProofResult(False, k, "mp must cite earlier lines")
-            minor = p.lines[just.i - 1][0]
-            if rows[just.j - 1] != space.intern(S._expand_impl(variant, minor, phi)):
+            if rows[just.j - 1] != space.impl(variant.primitive_impl, rows[just.i - 1], rows[-1]):
                 return ProofResult(
                     False, k,
                     f"line {just.j} is not (line {just.i}) -> (line {k})")

@@ -17,14 +17,16 @@ abbreviation for ``forb(~t)`` and never appears in the AST.  Under classical
 variants '->' and '<->' are sugar and are expanded by the parser; under
 DAL_IPL / DAL_INT implication is a primitive connective (and '<->' still
 expands to a conjunction of implications).  The parser is one loop over an
-operand stack and an operator stack; it hash-conses each node as it reduces
-it, so a parsed term comes with its compile_term table.
+operand stack and an operator stack; it hash-conses each node it reduces
+through ``TermSpace.node``, the one place a row is keyed and added, so a
+parsed term comes with its compile_term table.  ``desugar`` and ``intern``
+replay a term's table through ``node``; only a term built by hand is walked.
 
 Terms, like the proof and result classes of the other modules, are records:
 subclasses of ``Record``, which reads a class's fields from its annotations
 and compiles an ``__init__`` for them when the class is made, with nothing
-imported.  Terms compare and hash by their compile_term tables, so neither
-recurses into a deep term.
+imported.  Terms compare, hash, print and pickle by their compile_term
+tables, so none of these recurses into a deep term.
 """
 
 from __future__ import annotations
@@ -140,8 +142,8 @@ def _record_init(cls):
 
 
 class _Term(Record):
-    """Terms compare and hash by their compile_term tables, which equal
-    terms share, so neither recurses into a deep term."""
+    """Terms compare, hash, print and pickle by their compile_term tables,
+    which equal terms share, so none of these recurses into a deep term."""
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -150,6 +152,29 @@ class _Term(Record):
 
     def __hash__(self):
         return hash(compile_term(self))
+
+    def __repr__(self):
+        """Record's repr, written from the table with a stack of pieces: a
+        piece is text or the row whose repr goes there."""
+        try:
+            table = compile_term(self)
+        except TypeError:   # a field holds no term
+            return super().__repr__()
+        out, todo = [], [len(table) - 1]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            cls, name, kids, _ = table[item]
+            parts = [f"{cls.__qualname__}("]
+            for i, (f, v) in enumerate(zip(cls._fields, kids or [repr(name)])):
+                parts += [", " * (i > 0) + f + "=", v]
+            todo += reversed(parts + [")"])
+        return "".join(out)
+
+    def __reduce__(self):
+        return _rebuilt, (tuple([row[:3] for row in compile_term(self)]),)
 
 
 class ActionTerm(_Term):
@@ -311,11 +336,6 @@ _BOUND = {tok: prec + (assoc == "right") for tok, (prec, assoc, _) in _OPS.items
           if assoc != "prefix"}
 
 
-def _expand_impl(variant: LogicVariant, left: FormulaTerm, right: FormulaTerm) -> FormulaTerm:
-    """'->' as the variant reads it: primitive, or sugar for '!left | right'."""
-    return Impl(left, right) if variant.primitive_impl else Or(Not(left), right)
-
-
 def _fail(text: str, toks: list, k: int, message: str):
     """Raise ParseError at token k, or at the first bad character if there
     is one: token positions are only found here."""
@@ -331,23 +351,15 @@ def _parse(text: str, variant: LogicVariant = LogicVariant.DAL, alphabet=None, s
     ActionTerm, FormulaTerm, or None for either.  An identifier is read as
     Basic or as Prop by the operator that takes it.  '->' and '<->' are
     expanded as they are reduced, and the '!left' of a classical one as
-    soon as left is, so the rows come in the order interning the term gives."""
+    soon as left is, so the rows come in the order compile_term's walk gives."""
     toks = [tok for tok in _TOKEN_RE.findall(text) if tok]
     toks.append("")   # end of input
     alphabet = None if alphabet is None else frozenset(alphabet)
     primitive = variant.primitive_impl
-    rows, terms, index = [], [], {}
+    space = TermSpace()
+    node, impl, rows = space.node, space.impl, space.rows
     ops = [(-1, None, start or FormulaTerm)]   # the root, then operators, '(' and calls
     vals = []   # rows, and ~k for the identifier at token k until an operator takes it
-
-    def node(cls, name, kids=()):
-        key = (cls, name, kids)
-        row = index.get(key)
-        if row is None:
-            row = index[key] = len(rows)
-            rows.append(key)
-            terms.append(cls(*[terms[k] for k in kids]) if name is None else cls(name))
-        return row
 
     def leaf(v, cls):
         name = toks[~v]
@@ -360,13 +372,9 @@ def _parse(text: str, variant: LogicVariant = LogicVariant.DAL, alphabet=None, s
     def formula(v, k):
         if v < 0:
             return leaf(v, Prop)
-        if isinstance(terms[v], ActionTerm):   # an action term not followed by '=='
+        if issubclass(rows[v][0], ActionTerm):   # an action term not followed by '=='
             _fail(text, toks, k, f"expected '==', found {toks[k] or 'end of input'!r}")
         return v
-
-    def impl(left, right):
-        return node(Impl, None, (left, right)) if primitive else \
-            node(Or, None, (node(Not, None, (left,)), right))
 
     def reduce(bound, k):
         """Reduce the operators at or above bound; token k follows them."""
@@ -378,9 +386,10 @@ def _parse(text: str, variant: LogicVariant = LogicVariant.DAL, alphabet=None, s
             if cls is Compl or cls is Not:
                 vals.append(node(cls, None, (right,)))
             elif cls is Impl:
-                vals[-1] = impl(vals[-1], right)
+                vals[-1] = impl(primitive, vals[-1], right)
             elif cls is Iff:
-                vals[-1] = node(And, None, (impl(vals[-1], right), impl(right, vals[-1])))
+                vals[-1] = node(And, None, (impl(primitive, vals[-1], right),
+                                            impl(primitive, right, vals[-1])))
             else:
                 vals[-1] = node(cls, None, (vals[-1], right))
 
@@ -421,7 +430,7 @@ def _parse(text: str, variant: LogicVariant = LogicVariant.DAL, alphabet=None, s
                         if (cls is Impl or cls is Iff) and not primitive:
                             node(Not, None, (left,))
                         break
-                    if prec >= _EQ and (left < 0 or isinstance(terms[left], ActionTerm)) and \
+                    if prec >= _EQ and (left < 0 or issubclass(rows[left][0], ActionTerm)) and \
                             not (cls is Eq and sort is ActionTerm):
                         if cls is AImpl and not variant.allows_aimpl:
                             _fail(text, toks, k,
@@ -441,9 +450,8 @@ def _parse(text: str, variant: LogicVariant = LogicVariant.DAL, alphabet=None, s
                         root = leaf(root, Prop if start is None and variant.allows_props else Basic)
                     if tok:
                         _fail(text, toks, k, f"unexpected trailing input {tok!r}")
-                    table = _with_dead(rows)
-                    object.__setattr__(terms[root], "_table", table)
-                    return terms[root], table
+                    term = _rebuilt(rows)   # the root is the last row
+                    return term, term._table
                 if tok != ")":
                     _fail(text, toks, k, f"expected ')', found {tok or 'end of input'!r}")
                 ops.pop()
@@ -479,40 +487,33 @@ _CLOSE = object()   # stack marker: build the row of the node below it
 class TermSpace:
     """Terms hash-consed into rows (Filliatre & Conchon 2006): row i is
     (class, name of a symbol or metavariable leaf or None, child rows, all
-    before i), and terms[i] is one term of row i.  Two terms interned into
-    one space are equal iff they get the same row.  Nodes are looked up by
-    id(), so the space holds every term interned: no id is reused in it."""
+    before i), keyed and added by ``node`` alone.  Two terms made in one
+    space are equal iff they get the same row.  A space holds rows only."""
 
     def __init__(self):
-        self.rows, self.terms, self.index, self.row_of, self.held = [], [], {}, {}, []
+        self.rows, self.index = [], {}
+
+    def node(self, cls, name, kids=()) -> int:
+        """The row (cls, name, kids), added if new."""
+        key = (cls, name, kids)
+        row = self.index.get(key)
+        if row is None:
+            row = self.index[key] = len(self.rows)
+            self.rows.append(key)
+        return row
+
+    def impl(self, primitive: bool, left: int, right: int) -> int:
+        """The row of left -> right: primitive, or sugar for !left | right."""
+        if primitive:
+            return self.node(Impl, None, (left, right))
+        return self.node(Or, None, (self.node(Not, None, (left,)), right))
 
     def intern(self, t: Term) -> int:
-        """t's row, after adding rows for its subterms new to the space;
-        built without recursion, children before parents."""
-        rows, terms, index, row_of, todo = self.rows, self.terms, self.index, self.row_of, [t]
-        self.held.append(t)
-        while todo:
-            node = todo.pop()
-            if node is _CLOSE:   # all children have rows now; a term's fields are its children
-                node = todo.pop()
-                kids = tuple([row_of[id(getattr(node, f))] for f in _FIELDS[type(node)]])
-                key = (type(node), None, kids)
-            else:
-                if id(node) in row_of:
-                    continue
-                cls = type(node)
-                if cls not in _TERMS:
-                    raise TypeError(f"not a term: {cls.__name__}")
-                if cls not in _NAMED:
-                    todo += (node, _CLOSE, *[getattr(node, f) for f in reversed(_FIELDS[cls])])
-                    continue
-                key = (cls, node.name, ())
-            row = index.setdefault(key, len(rows))
-            if row == len(rows):
-                rows.append(key)
-                terms.append(node)
-            row_of[id(node)] = row
-        return row_of[id(t)]
+        """t's row: compile_term(t) replayed through node."""
+        node, rows = self.node, []
+        for cls, name, kids, _ in compile_term(t):
+            rows.append(node(cls, name, tuple([rows[k] for k in kids])))
+        return rows[-1]
 
     def substitutes(self, res: int, orig: int, alpha: int, beta: int) -> bool:
         """True iff row res is row orig with zero or more occurrences of row
@@ -531,16 +532,34 @@ class TermSpace:
 
 def compile_term(t: Term) -> tuple:
     """The rows of t in a fresh TermSpace, the root last, each extended by
-    its dead rows: the children whose last use it is.  Built without
-    recursion, and kept on the immutable t, so a term is interned once; a
-    parsed term comes with the table its parser built."""
+    its dead rows: the children whose last use it is.  Kept on the
+    immutable t, so a term is walked at most once; a parsed term comes with
+    the table its parser built."""
     table = getattr(t, "_table", None)
     if table is None:
-        space = TermSpace()
-        space.intern(t)
-        table = _with_dead(space.rows)
+        table = _with_dead(_walk(t))
         object.__setattr__(t, "_table", table)
     return table
+
+
+def _walk(t: Term) -> list:
+    """The rows of t, children before parents: the one object walk."""
+    space, row_of, todo = TermSpace(), {}, [t]
+    while todo:
+        obj = todo.pop()
+        if obj is _CLOSE:   # all children have rows now; a term's fields are its children
+            obj = todo.pop()
+            kids = tuple([row_of[id(getattr(obj, f))] for f in _FIELDS[type(obj)]])
+            row_of[id(obj)] = space.node(type(obj), None, kids)
+        elif id(obj) not in row_of:
+            cls = type(obj)
+            if cls not in _TERMS:
+                raise TypeError(f"not a term: {cls.__name__}")
+            if cls in _NAMED:
+                row_of[id(obj)] = space.node(cls, obj.name)
+            else:
+                todo += (obj, _CLOSE, *[getattr(obj, f) for f in reversed(_FIELDS[cls])])
+    return space.rows
 
 
 def _with_dead(rows: list) -> tuple:
@@ -555,6 +574,21 @@ def _with_dead(rows: list) -> tuple:
         out.append((*key, dead))
     out.reverse()
     return tuple(out)
+
+
+def _terms(rows) -> list:
+    """One term per row, children before parents; a shared row is one object."""
+    terms = []
+    for cls, name, kids in rows:
+        terms.append(cls(*[terms[k] for k in kids]) if name is None else cls(name))
+    return terms
+
+
+def _rebuilt(rows) -> Term:
+    """The last row's term, keeping its canonical post-order rows as its table."""
+    t = _terms(rows)[-1]
+    object.__setattr__(t, "_table", _with_dead(rows))
+    return t
 
 
 def run(table: tuple, ops: dict, env):
@@ -579,38 +613,24 @@ def table_names(table: tuple, *classes) -> tuple[str, ...]:
 # Desugaring
 # ---------------------------------------------------------------------------
 
-def _rebuild(cls):
-    return lambda variant, name, *kids: cls(*kids) if name is None else cls(name)
-
-
-def _check_aimpl(variant, _, left, right):
-    if not variant.allows_aimpl:
-        raise ParseError(f"action implication '~>' is not admitted under {variant.value}")
-    return AImpl(left, right)
-
-
-def _check_prop(variant, name):
-    if not variant.allows_props:
-        raise ParseError(f"proposition symbol {name!r} is not admitted under {variant.value}")
-    return Prop(name)
-
-
-_DESUGAR_OPS = {cls: _rebuild(cls) for cls in _TERMS} | {
-    AImpl: _check_aimpl,
-    Prop: _check_prop,
-    Impl: lambda variant, _, left, right: _expand_impl(variant, left, right),
-    Iff: lambda variant, _, left, right: And(_expand_impl(variant, left, right),
-                                             _expand_impl(variant, right, left)),
-}
-
-
 def desugar(t: Term, variant: LogicVariant) -> Term:
     """Expand sugar ('<->' always; '->' unless primitive) and check gating.
 
     Idempotent.  Raises ParseError when the term uses a connective or symbol
-    class the variant does not admit.
+    class the variant does not admit.  The result keeps no table: its rows
+    need not come in the order compile_term's walk gives.
     """
-    return run(compile_term(t), _DESUGAR_OPS, variant)
+    space, rows, primitive = TermSpace(), [], variant.primitive_impl
+    for cls, name, kids, _ in compile_term(t):
+        kids = tuple([rows[k] for k in kids])
+        if cls is Prop and not variant.allows_props:
+            raise ParseError(f"proposition symbol {name!r} is not admitted under {variant.value}")
+        if cls is AImpl and not variant.allows_aimpl:
+            raise ParseError(f"action implication '~>' is not admitted under {variant.value}")
+        if cls is Iff:   # the conjunction of both implications
+            cls, kids = And, (space.impl(primitive, *kids), space.impl(primitive, *kids[::-1]))
+        rows.append(space.impl(primitive, *kids) if cls is Impl else space.node(cls, name, kids))
+    return _terms(space.rows)[rows[-1]]
 
 
 # ---------------------------------------------------------------------------

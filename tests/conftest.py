@@ -70,7 +70,12 @@ def random_model(rng, max_elems=4, n_actions=2):
 
 def random_formula(rng, depth, variant=dk.LogicVariant.DAL, acts=("a", "b"),
                    props=()):
-    """Random formula over the given symbols, connective-weighted."""
+    """Random formula over the given symbols, connective-weighted, desugared."""
+    return dk.desugar(random_term(rng, depth, acts, props), variant)
+
+
+def random_term(rng, depth, acts=("a", "b"), props=()):
+    """random_formula's formula before desugaring: it may hold Impl."""
 
     def act(d):
         if d == 0:
@@ -102,7 +107,7 @@ def random_formula(rng, depth, variant=dk.LogicVariant.DAL, acts=("a", "b"),
             return dk.Impl(form(d - 1), form(d - 1))
         return form(d - 1)
 
-    return dk.desugar(form(depth), variant)
+    return form(depth)
 
 
 def instantiate(pat, subst):

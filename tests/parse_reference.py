@@ -9,8 +9,8 @@ and it recurses once per parenthesis: only call it on small inputs.
 import re
 
 from dalkit.syntax import (ActionTerm, AImpl, And, Basic, Bot, Compl, Eq, Forb, FormulaTerm,
-                           Inter, LogicVariant, Not, One, Or, ParseError, Perm, Prop, Top,
-                           Union, Zero, _expand_impl)
+                           Impl, Inter, LogicVariant, Not, One, Or, ParseError, Perm, Prop,
+                           Top, Union, Zero)
 
 _KEYWORDS = ("perm", "forb", "obl", "true", "false")
 _TOKEN_RE = re.compile(
@@ -19,6 +19,10 @@ _TOKEN_RE = re.compile(
     r"|(?P<op><->|->|~>|==|[~*+!&|()01])"
     r"|(?P<ident>[a-z][a-zA-Z0-9_]*)"
 )
+
+
+def _expand_impl(variant, left, right):
+    return Impl(left, right) if variant.primitive_impl else Or(Not(left), right)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

@@ -10,6 +10,10 @@ import dalkit.syntax as S
 from dalkit.proof import MP, OK, Axiom, ProofResult, axiom_table
 
 
+def expand_impl(variant, left, right):
+    return S.Impl(left, right) if variant.primitive_impl else S.Or(S.Not(left), right)
+
+
 def is_substitution_instance(psi, phi, alpha, beta):
     """True iff psi is phi with zero or more occurrences of alpha replaced by beta."""
     def match(res, orig):
@@ -103,7 +107,7 @@ def check_proof(p, variant=None):
                 return ProofResult(False, k, "mp must cite earlier lines")
             minor = lines[just.i - 1][0]
             major = lines[just.j - 1][0]
-            if major != S._expand_impl(variant, minor, phi):
+            if major != expand_impl(variant, minor, phi):
                 return ProofResult(
                     False, k,
                     f"line {just.j} is not (line {just.i}) -> (line {k})")

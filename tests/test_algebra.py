@@ -204,15 +204,15 @@ def test_evaluate_compiles_a_repeated_term_once(monkeypatch):
     h = dk.Interpretation(act={"a": A.index_of("{x}"), "b": A.index_of("{y}")})
     t, u = dk.parse_formula("perm(a * ~b) | (a == b)"), dk.parse_formula("forb(a * ~b) | (a == b)")
     v = dk.Or(dk.Perm(dk.Basic("a")), dk.Eq(dk.Basic("a"), dk.Basic("b")))   # built, not parsed
-    interned = []
-    real = S.TermSpace.intern
-    monkeypatch.setattr(S.TermSpace, "intern", lambda space, x: interned.append(x) or real(space, x))
-    # a parsed term comes with its table; a built one is interned on first use
+    walked = []
+    real = S._walk
+    monkeypatch.setattr(S, "_walk", lambda x: walked.append(x) or real(x))
+    # a parsed term comes with its table; a built one is walked on first use
     for term, calls in ((t, []), (t, []), (v, [v]), (u, [v]), (v, [v]), (t, [v])):
         assert dk.evaluate(D, h, term) == reference_evaluate(D, h, term)
-        assert interned == calls
+        assert walked == calls
     batch = dk.evaluate_batch(D, {"a": np.arange(A.size), "b": np.zeros(A.size, int)}, v)
-    assert interned == [v] and batch.shape == (A.size,)
+    assert walked == [v] and batch.shape == (A.size,)
 
 
 def reference_evaluate(D, h, t):

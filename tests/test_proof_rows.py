@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import dalkit as dk
+import dalkit.proof as P
 import dalkit.syntax as S
 import proof_reference as REF
 from conftest import instantiate, random_formula
@@ -73,7 +74,7 @@ def _inputs(variant, rng):
         psi = _replace_some(body, alpha, beta, rng)
         if rng.random() < 0.3:   # a near miss: some occurrence replaced by another term
             psi = _replace_some(psi, alpha, S.Basic("c"), rng)
-        out.append(S._expand_impl(variant, S.And(S.Eq(alpha, beta), body), psi))
+        out.append(REF.expand_impl(variant, S.And(S.Eq(alpha, beta), body), psi))
     out += [phi for _, p in _shipped() for phi, _ in p.lines]
     return out
 
@@ -110,6 +111,27 @@ def test_check_proof_agrees_with_reference_on_shipped_and_mutated_proofs(path, p
     for p in proofs:
         for variant in [None] + [v for v in V if p.alphabet or not v.requires_alphabet]:
             assert check_proof(p, variant) == REF.check_proof(p, variant), (p.lines, variant)
+
+
+def test_checking_shipped_proofs_walks_axiom_patterns_only(monkeypatch):
+    """read_proof + check_proof replay the table each line was parsed with;
+    the only terms walked are axiom patterns, each at most once, as a walked
+    term keeps its table."""
+    walked = []
+    real = S._walk
+    monkeypatch.setattr(S, "_walk", lambda t: walked.append(t) or real(t))
+    patterns, lines = set(), []
+    for path in PROOFS * 2:
+        try:
+            proof = dk.read_proof(path.read_text())
+        except dk.FormatError:
+            continue
+        check_proof(proof)
+        lines += [phi for phi, _ in proof.lines]
+        patterns |= {id(s.pattern) for s in axiom_table(proof.variant, proof.alphabet)}
+        patterns.add(id(P._e2_pattern(proof.variant)))
+    assert len(lines) > 100
+    assert {id(t) for t in walked} <= patterns and len({id(t) for t in walked}) == len(walked)
 
 
 DEEP = 10_000

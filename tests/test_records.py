@@ -7,6 +7,8 @@ default was a factory, ``==``, ``hash`` and ``repr``.  The repr strings
 below were printed by the dataclass versions.
 """
 
+import copy
+import pickle
 from pathlib import Path
 
 import pytest
@@ -253,3 +255,21 @@ def test_deep_terms_compare_and_hash_by_their_tables():
     assert S.compile_term(t) == S.compile_term(built) and len({t, u, built}) == 1
     assert t != dk.parse_formula(text + " & perm(b)") != built
     assert dk.parse_formula(" | ".join(["perm(a)"] * 3000)) != t
+
+
+@pytest.mark.parametrize("n", [3000, 10_000])
+def test_deep_terms_print_copy_and_pickle(n):
+    """repr, copy and pickle go through the table too: a chain of n terms,
+    parsed or built, prints as the dataclass version did and round-trips."""
+    leaf = "Perm(arg=Basic(name='a'))"
+    expect = "And(left=" * (n - 1) + leaf + f", right={leaf})" * (n - 1)
+    parsed, built = dk.parse_formula(" & ".join(["perm(a)"] * n)), p
+    for _ in range(n - 1):
+        built = S.And(built, S.Perm(S.Basic("a")))
+    for t in (parsed, built):
+        assert repr(t) == expect
+        for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert twin == t and twin is not t and repr(twin) == expect
+            assert vars(twin)["_table"] == S.compile_term(t)   # kept from its rows
+    proof = dk.Proof(V.DAL, ((parsed, dk.Axiom("A1")), (built, dk.MP(1, 1))))
+    assert pickle.loads(pickle.dumps(proof)) == copy.deepcopy(proof) == proof

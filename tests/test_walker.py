@@ -16,7 +16,7 @@ TERM_CLASSES = S.ActionTerm.__subclasses__() + S.FormulaTerm.__subclasses__()
 
 def test_every_term_class_has_an_entry_in_every_op_set():
     assert len(TERM_CLASSES) == 20
-    for ops in (MD._MASK_OPS, AL._TABLE_OPS, S._DESUGAR_OPS, S._PRINT):
+    for ops in (MD._MASK_OPS, AL._TABLE_OPS, S._PRINT):
         assert set(ops) == set(TERM_CLASSES)
 
 
