@@ -35,7 +35,6 @@ algebra); they and the P/F enumeration import numpy when called.
 
 from __future__ import annotations
 
-import copy
 from operator import eq
 
 from . import syntax as S
@@ -211,8 +210,8 @@ class _Sort:
         self.hi = self.off + [L.top for L in side]
 
     def bounded(self, at):
-        view = copy.copy(self)
-        view.bot, view.top = self.lo[at, None], self.hi[at, None]
+        view = object.__new__(_Sort)
+        view.__dict__.update(self.__dict__, bot=self.lo[at, None], top=self.hi[at, None])
         return view
 
     def join(self, x, y):

@@ -13,16 +13,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
 
 from . import formats
 from . import proof as PR
 from . import syntax as S
 from .syntax import LogicVariant
 
-if TYPE_CHECKING:
-    from .algebra import DeonticAlgebra
-    from .models import Countermodel
 
 _HEYTING = (LogicVariant.DAL_IPL, LogicVariant.DAL_IAL, LogicVariant.DAL_INT)
 

@@ -32,16 +32,9 @@ square of that count, and ``check-algebra``'s law check with the cube, to
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from . import proof as P
 from . import syntax as S
 from .syntax import LogicVariant
-
-if TYPE_CHECKING:
-    from .algebra import DeonticAlgebra
-    from .lattice import HeytingAlgebra
-    from .models import DeonticModel, Valuation
 
 
 MAX_TABLE_ELEMENTS = 256

@@ -26,13 +26,9 @@ from __future__ import annotations
 import functools
 import itertools as it
 import math
-from typing import TYPE_CHECKING
 
 from . import syntax as S
 from .syntax import BudgetExceeded, LogicVariant as V
-
-if TYPE_CHECKING:
-    from .algebra import DeonticAlgebra, Interpretation
 
 
 class DeonticModel(S.Record):

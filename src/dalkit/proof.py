@@ -260,17 +260,22 @@ def _match_rows(space: S.TermSpace, pat: int, row: int, basic=()) -> dict | None
     return binds
 
 
-def _match(space: S.TermSpace, row: int, schema: AxiomSchema) -> dict | None:
+def _pattern(schema: AxiomSchema) -> S.FormulaTerm:
+    return _e2_pattern(schema.variant) if schema.id == "E2" else schema.pattern
+
+
+def _match(space: S.TermSpace, row: int, schema: AxiomSchema, pat: int) -> dict | None:
+    """Bindings making the schema's pattern, interned in space as pat, into row."""
     if schema.id != "E2":
-        return _match_rows(space, space.intern(schema.pattern), row, schema.basic_vars)
-    b = _match_rows(space, space.intern(_e2_pattern(schema.variant)), row)
+        return _match_rows(space, pat, row, schema.basic_vars)
+    b = _match_rows(space, pat, row)
     return b if b is not None and space.substitutes(b["ψ"], b["φ"], b["α"], b["β"]) else None
 
 
 def match_schema(phi: S.FormulaTerm, schema: AxiomSchema):
     """(matched, bindings) for a desugared formula against one schema."""
     space = S.TermSpace()
-    binds = _match(space, space.intern(phi), schema)
+    binds = _match(space, space.intern(phi), schema, space.intern(_pattern(schema)))
     if binds is None:
         return False, None
     terms = S._terms(space.rows)
@@ -282,15 +287,21 @@ def check_proof(p: Proof, variant: V | None = None) -> ProofResult:
     by their rows in one TermSpace, modus ponens' expected implication too."""
     variant = variant or p.variant
     table = axiom_table(variant, p.alphabet)
-    space, rows = S.TermSpace(), []
+    space, rows, pats = S.TermSpace(), [], {}   # pats: schema position -> its pattern's row
+
+    def matches(i):
+        if i not in pats:
+            pats[i] = space.intern(_pattern(table[i]))
+        return _match(space, rows[-1], table[i], pats[i]) is not None
+
     for k, (phi, just) in enumerate(p.lines, start=1):
         rows.append(space.intern(phi))
         if isinstance(just, Axiom):
             # ids may repeat (one closed formula per minterm), so try them all
-            candidates = [s for s in table if s.id == just.id]
+            candidates = [i for i, s in enumerate(table) if s.id == just.id]
             if not candidates:
                 return ProofResult(False, k, f"unknown axiom {just.id} for {variant.value}")
-            if all(_match(space, rows[-1], s) is None for s in candidates):
+            if not any(matches(i) for i in candidates):
                 return ProofResult(False, k, f"not an instance of {just.id}")
         elif isinstance(just, MP):
             if not (1 <= just.i < k and 1 <= just.j < k):

@@ -263,12 +263,20 @@ def _fingerprint(res):
     return "countermodel", tables, list(D.P), list(D.F), h.act, h.prop
 
 
+def _cold():
+    """Empty the pair-stack cache and the catalog layouts laid out from it."""
+    DC._pair_stack.cache_clear()
+    DC._layout.cache_clear()
+
+
 @contextlib.contextmanager
 def _chunks(monkeypatch, cand=None, cond=None):
-    """Patched chunk sizes, with the pair-stack cache emptied on the way in
-    and out: stacks cached at the real sizes would skip the split-block path,
-    and the pairs too large at the patched sizes are remembered as streamed."""
-    DC._pair_stack.cache_clear()
+    """Patched chunk sizes, with the pair-stack cache and the layouts emptied
+    on the way in and out: stacks cached at the real sizes would skip the
+    split-block path, a layout would run pairs too large at the patched
+    sizes as one block and keep grids cut at the real cell bound, and the
+    pairs too large at the patched sizes are remembered as streamed."""
+    _cold()
     try:
         with monkeypatch.context() as m:
             if cand is not None:
@@ -277,23 +285,25 @@ def _chunks(monkeypatch, cand=None, cond=None):
                 m.setattr(AL, "_COND_CHUNK", cond)
             yield
     finally:
-        DC._pair_stack.cache_clear()
+        _cold()
 
 
 def _agree(monkeypatch, phi, variant, small_chunks=True, **kw):
     """The engine gives the reference's verdict, reason and countermodel at
     its own chunk sizes, on the pair-stack cache as it finds it and again on
-    the cache that search warmed (where the pairs it reached share chunks),
-    and, unless told not to, at one candidate per chunk with the F maps of
-    every pair split into blocks."""
+    the cache that search warmed (where the pairs it reached are laid out
+    together), and, unless told not to, at one candidate per chunk with the
+    F maps of every pair split into blocks, cold and then warm (a layout of
+    the pairs before the first split one, then streamed and kept pairs)."""
     want = _fingerprint(reference_countermodel(phi, variant, **kw))
     for _ in range(2):
         got = countermodel_heyting(phi, variant, **kw)
         assert _fingerprint(got) == want, (dk.print_formula(phi), variant, kw)
     if small_chunks:
         with _chunks(monkeypatch, cand=1, cond=128):
-            assert _fingerprint(countermodel_heyting(phi, variant, **kw)) == want, \
-                (dk.print_formula(phi), variant, kw, "chunk 1")
+            for cache in ("cold", "warm"):
+                assert _fingerprint(countermodel_heyting(phi, variant, **kw)) == want, \
+                    (dk.print_formula(phi), variant, kw, "chunk 1", cache)
     return got
 
 
@@ -364,6 +374,11 @@ READ_SETS = {
 }
 
 
+# first refuted by candidates 401, 339 and 401 of DAL_IPL at 3 points
+LATE_HITS = ["(perm(a) -> perm(b)) | (perm(b) -> perm(a))", "(forb(a) -> forb(b)) | (forb(b) -> forb(a))",
+             "(perm(a) -> perm(b)) | (perm(b) -> perm(a)) | forb(a) & !forb(a)"]
+
+
 def _reads(phi):
     classes = {row[0] for row in S.compile_term(phi)}
     return S.Perm in classes, S.Forb in classes
@@ -396,7 +411,8 @@ def test_heyting_engine_matches_reference_by_read_set(monkeypatch, reads):
 def test_rows_are_the_distinct_readings_in_first_candidate_order(monkeypatch):
     """The engine reports the first candidate reading the first failing row,
     so a block's rows must be the distinct maps its first m candidates read,
-    in the order they are first read; checked on every block, also split."""
+    in the order they are first read, each with the candidate that first
+    reads it; checked on every block, also split."""
     for cond in (None, 128):
         with _chunks(monkeypatch, cond=cond):
             for variant, points in ((V.DAL_IPL, 3), (V.DAL_IAL, 3), (V.DAL_INT, 2)):
@@ -407,7 +423,7 @@ def test_rows_are_the_distinct_readings_in_first_candidate_order(monkeypatch):
                                 rows = DC._rows(pi, fi, m, len(Fs), side == 0, side == 1)
                                 _, first = np.unique(keys, return_index=True)
                                 assert list(rows[side]) == keys[np.sort(first)].tolist()
-                                assert rows[2] == len(first)
+                                assert rows[2].tolist() == np.sort(first).tolist()
 
 
 def test_heyting_search_runs_the_pending_chunk_before_an_interpretation_budget(monkeypatch):
@@ -425,7 +441,8 @@ def test_heyting_search_counts_the_candidates_up_to_the_hit():
     """The count _search returns with a countermodel is the smallest
     candidate budget that still finds it."""
     for text, variant in (("perm(a) | !perm(a)", V.DAL_IPL), ("forb(a) | !forb(a)", V.DAL_INT),
-                          ("a + ~a == 1", V.DAL_IAL), ("p -> perm(a) | forb(a)", V.DAL_INT)):
+                          ("a + ~a == 1", V.DAL_IAL), ("p -> perm(a) | forb(a)", V.DAL_INT),
+                          (LATE_HITS[0], V.DAL_IPL), ("perm(a * b) -> perm(a) | perm(b)", V.DAL_INT)):
         phi = dk.parse_formula(text, variant)
         _, _, tried = DC._search(DC._catalog_pairs(variant, 3), S.compile_term(phi), False, 10**6, 1 << 16)
         assert isinstance(countermodel_heyting(phi, variant, max_points=3, max_candidates=tried),
@@ -440,10 +457,11 @@ def test_heyting_chunks_stay_within_the_cell_bound(monkeypatch):
     shapes = []
     real = DC._run_chunk
 
-    def spy(pieces, asort, fsort, table, acts, props, holds):
-        width = max(asort.size[u.k] ** len(acts) * fsort.size[u.k] ** len(props) for u, _, _ in pieces)
-        shapes.append((sum(r1 - r0 for _, r0, r1 in pieces), width))
-        return real(pieces, asort, fsort, table, acts, props, holds)
+    def spy(lay, rows, r0, r1, assign, table, props, holds):
+        nacts = len(assign) - len(props)
+        width = max(lay.asort.size[k] ** nacts * lay.fsort.size[k] ** len(props) for k in rows.at[r0:r1])
+        shapes.append((r1 - r0, width))
+        return real(lay, rows, r0, r1, assign, table, props, holds)
 
     monkeypatch.setattr(DC, "_run_chunk", spy)
     with _chunks(monkeypatch, cand=64):
@@ -503,10 +521,10 @@ def test_pair_stack_cache_matches_reference_and_cold_calls():
     want = [_fingerprint(reference_countermodel(phi, v, **kw)) for phi, v, kw in calls]
     cold = []
     for phi, v, kw in calls:
-        DC._pair_stack.cache_clear()
+        _cold()
         cold.append(_fingerprint(countermodel_heyting(phi, v, **kw)))
     assert cold == want
-    DC._pair_stack.cache_clear()
+    _cold()
     fence = _fence_fingerprint()
     assert {w[0] for w in want} == {"unknown", "countermodel"}
     cases = list(zip(calls, want))
@@ -540,7 +558,7 @@ def test_pair_stack_cache_after_stopped_searches():
     budget = 700
     inside = int(np.searchsorted(ends, budget))   # the pair that candidate 700 is in
     assert ends[inside - 1] < budget - 1 and budget < ends[inside]
-    DC._pair_stack.cache_clear()
+    _cold()
     for kw in ({"max_candidates": budget}, {}):
         want = _fingerprint(reference_countermodel(phi, V.DAL_IPL, max_points=3, **kw))
         got = _fingerprint(countermodel_heyting(phi, V.DAL_IPL, max_points=3, **kw))
@@ -548,7 +566,7 @@ def test_pair_stack_cache_after_stopped_searches():
         if kw:
             assert DC._pair_stack.cache_info().currsize == inside + 1
     assert DC._pair_stack.cache_info().currsize == len(pairs)
-    DC._pair_stack.cache_clear()
+    _cold()
     refutable = dk.parse_formula("perm(a) -> forb(a)", V.DAL_IPL)
     assert isinstance(countermodel_heyting(refutable, V.DAL_IPL, max_points=3), Countermodel)
     assert DC._pair_stack.cache_info().currsize == 1
@@ -577,6 +595,115 @@ def test_pair_stack_cache_never_stores_multi_block_pairs(monkeypatch):
                 Unknown("no countermodel among 132 catalog algebras")
         assert built == {p: 3 if p in multi else 1 for p in pairs}
         assert all(DC._pair_stack(*p) is None for p in multi)
+
+
+# ---------------------------------------------------------------------------
+# The laid-out prefix of a catalog
+# ---------------------------------------------------------------------------
+
+def _warm(phi, variant, **kw):
+    """A cold search, then one that lays out the stacks the first kept."""
+    _cold()
+    for _ in range(2):
+        countermodel_heyting(phi, variant, **kw)
+    return DC._layout(DC._catalog_pairs(variant, kw.get("max_points", 2)))
+
+
+def test_layout_budgets_stop_inside_and_past_the_prefix(monkeypatch):
+    """Candidate budgets that stop inside a laid-out prefix, or past it in
+    pairs the search still builds, give the reference's and a cold search's
+    results, in every read set, and the cold search's count of candidates
+    tried, also where the budget runs out."""
+    theorem = dk.parse_formula(IPL_THEOREM, V.DAL_IPL)
+    phis = [theorem] + [dk.parse_formula(t, V.DAL_IPL) for texts in READ_SETS.values() for t in texts[:2]]
+    phis += [dk.parse_formula(t, V.DAL_IPL) for t in LATE_HITS]
+    seen = set()
+    for warm_budget, budgets in ((None, (0, 1, 2, 300, 700, 1405, 1406, 1407)),
+                                 (300, (200, 331, 332, 1000, 1406))):   # 300 stops in pair 12
+        for phi in phis:
+            for budget in budgets:
+                lay = _warm(theorem, V.DAL_IPL, max_points=3,
+                            **({} if warm_budget is None else {"max_candidates": warm_budget}))
+                assert len(lay.units) == lay.held == (16 if warm_budget is None else 13)
+                tried = DC._search(lay.pairs, S.compile_term(phi), False, budget, 1 << 16)[2]
+                seen.add(type(_agree(monkeypatch, phi, V.DAL_IPL, small_chunks=False, max_points=3,
+                                     max_candidates=budget)))
+                _cold()
+                assert DC._search(lay.pairs, S.compile_term(phi), False, budget, 1 << 16)[2] == tried
+                _cold()
+                cold = countermodel_heyting(phi, V.DAL_IPL, max_points=3, max_candidates=budget)
+                assert _fingerprint(cold) == _fingerprint(reference_countermodel(
+                    phi, V.DAL_IPL, max_points=3, max_candidates=budget))
+    assert seen == {Countermodel, Unknown}
+
+
+def test_layout_interpretation_budget_inside_the_prefix(monkeypatch):
+    """An interpretation budget first exceeded at a pair inside the laid-out
+    prefix: the rows before that pair run, then the search gives up, unless
+    the candidate budget runs out before that pair's first candidate."""
+    pairs = DC._catalog_pairs(V.DAL_IPL, 3)
+    interps = [A.size * Fm.size for A, Fm in pairs]   # one action, one proposition
+    budget = 9
+    over = next(k for k, n in enumerate(interps) if n > budget)
+    assert 0 < over < len(pairs) - 1
+    before = sum(len(pi) for A, Fm in pairs[:over] for *_, pi, _ in AL._pf_stacks(A, Fm))
+    reasons = set()
+    for text in ("p & perm(a) -> perm(a)", "(p -> perm(a)) | (perm(a) -> p)", "p | !p & perm(a)",
+                 "forb(a) | !forb(a) | p"):
+        phi = dk.parse_formula(text, V.DAL_IPL)
+        for kw in ({}, {"max_candidates": before}, {"max_candidates": before + 1}):
+            lay = _warm(dk.parse_formula(IPL_THEOREM, V.DAL_IPL), V.DAL_IPL, max_points=3)
+            assert len(lay.units) == len(pairs)
+            res = _agree(monkeypatch, phi, V.DAL_IPL, small_chunks=False, max_points=3, max_interps=budget, **kw)
+            reasons.add(res.reason if isinstance(res, Unknown) else "countermodel")
+    assert reasons == {"countermodel", f"{interps[over]} interpretations exceed the budget of {budget}",
+                       f"candidate budget of {before} algebras exhausted"}
+
+
+def test_layout_prefix_then_streamed_pairs(monkeypatch):
+    """With _COND_CHUNK small, the prefix ends before the first pair that
+    needs several blocks; a warm search lays out the pairs before it, then
+    streams that pair and gathers the kept pairs after it chunk by chunk."""
+    phis = [dk.parse_formula(t, V.DAL_IPL) for t in (IPL_THEOREM, "p | !p", "perm(a) -> forb(a)",
+                                                    "forb(b) -> perm(a) -> forb(b)")]
+    with _chunks(monkeypatch, cand=64, cond=128):
+        pairs = DC._catalog_pairs(V.DAL_IPL, 2)
+        lay = _warm(phis[0], V.DAL_IPL)
+        streamed = [k for k, p in enumerate(pairs) if DC._pair_stack(*p) is None]
+        assert 0 < len(lay.units) == lay.held == streamed[0] < len(pairs) - 1
+        for phi in phis:
+            for budget in (5000, 131, 60):
+                want = _fingerprint(reference_countermodel(phi, V.DAL_IPL, max_candidates=budget))
+                for _ in range(2):
+                    got = countermodel_heyting(phi, V.DAL_IPL, max_candidates=budget)
+                    assert _fingerprint(got) == want, (dk.print_formula(phi), budget)
+        assert len(lay.units) == streamed[0]
+
+
+def test_layout_is_laid_out_once_and_never_by_a_cold_search(monkeypatch):
+    """A cold search lays out no prefix, only the pairs it gathers one by
+    one; the next search lays out every pair the first kept, at once; later
+    searches of that read set lay out nothing, and another read set once."""
+    built = []
+    real = DC._Rows
+
+    def spy(parts, *args):
+        built.append(sorted({u.k for u, _ in parts}))
+        return real(parts, *args)
+
+    monkeypatch.setattr(DC, "_Rows", spy)
+    pairs = DC._catalog_pairs(V.DAL_IPL, 3)
+    theorem = dk.parse_formula(IPL_THEOREM, V.DAL_IPL)
+    _cold()
+    assert countermodel_heyting(theorem, V.DAL_IPL, max_points=3) == \
+        Unknown("no countermodel among 1406 catalog algebras")
+    assert built and all(len(ks) == 1 for ks in built)
+    for other, layouts in ((theorem, [list(range(len(pairs)))]), (theorem, []),
+                           (dk.parse_formula("perm(a) -> forb(a) | p", V.DAL_IPL), [list(range(len(pairs)))]),
+                           (theorem, [])):
+        built.clear()
+        countermodel_heyting(other, V.DAL_IPL, max_points=3)
+        assert built == layouts
 
 
 # ---------------------------------------------------------------------------

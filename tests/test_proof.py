@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 import dalkit as dk
-from dalkit.proof import Axiom, MP, Proof, axiom_table, check_proof, match_schema
+import dalkit.syntax as S
+from dalkit.proof import Axiom, MP, Proof, ProofResult, axiom_table, check_proof, match_schema
 from dalkit.syntax import LogicVariant as V
 
 DATA = Path(dk.__file__).parent / "data"
@@ -112,6 +113,35 @@ def test_check_proof_mp_contract():
     ))
     res = check_proof(p)
     assert not res and res.line == 3 and "not" in res.reason
+
+
+def test_impl_rows_are_the_parsers_per_variant():
+    """TermSpace.impl(primitive, x, y), which modus ponens checks against,
+    is the row the parser builds for x -> y: !x | y in the classical
+    variants, the primitive Impl under DAL_IPL and DAL_INT."""
+    space = S.TermSpace()
+    x, y = (space.intern(dk.parse_formula(t)) for t in ("perm(a)", "forb(a * b)"))
+    for text in ("!perm(a) | forb(a * b)", "perm(a) -> forb(a * b)"):
+        assert space.impl(False, x, y) == space.intern(dk.parse_formula(text, V.DAL))
+    for variant in (V.DAL_IPL, V.DAL_INT):
+        row = space.intern(dk.parse_formula("perm(a) -> forb(a * b)", variant))
+        assert space.impl(True, x, y) == row != space.impl(False, x, y)
+        assert space.rows[row] == (S.Impl, None, (x, y))
+
+
+@pytest.mark.parametrize("variant", [V.DAL_IPL, V.DAL_INT])
+def test_check_proof_mp_needs_the_variants_implication(variant):
+    """Under a primitive ->, a valid line !x | y is no major premise for x
+    and y, while the valid line x -> y is."""
+    def proof(major, axiom):
+        lines = [("a == a", "E1"), ("b == b", "E1"), (f"b == b -> {major}", axiom),
+                 (major, MP(2, 3)), ("b == b", MP(1, 4))]
+        return Proof(variant, tuple((dk.parse_formula(t, variant), j if isinstance(j, MP) else Axiom(j))
+                                    for t, j in lines))
+
+    assert check_proof(proof("(a == a -> b == b)", "H9"))
+    assert check_proof(proof("!(a == a) | b == b", "H2")) == \
+        ProofResult(False, 5, "line 4 is not (line 1) -> (line 5)")
 
 
 def test_check_proof_mp_forward_reference():

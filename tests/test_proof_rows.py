@@ -3,6 +3,7 @@ reference in tests/proof_reference.py, and verdicts on deep input."""
 
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,25 @@ def test_checking_shipped_proofs_walks_axiom_patterns_only(monkeypatch):
         patterns.add(id(P._e2_pattern(proof.variant)))
     assert len(lines) > 100
     assert {id(t) for t in walked} <= patterns and len({id(t) for t in walked}) == len(walked)
+
+
+def test_check_proof_interns_each_axiom_pattern_once(monkeypatch):
+    """check_proof interns a schema's pattern the first time a line cites
+    the schema, and never again in that check, however many lines cite it."""
+    interned = []
+    real = S.TermSpace.intern
+    monkeypatch.setattr(S.TermSpace, "intern", lambda space, t: interned.append(t) or real(space, t))
+    cited_twice = 0
+    for _, proof in _shipped():
+        patterns = {id(s.pattern) for s in axiom_table(proof.variant, proof.alphabet)}
+        patterns.add(id(P._e2_pattern(proof.variant)))
+        interned.clear()
+        check_proof(proof)
+        counts = Counter(id(t) for t in interned if id(t) in patterns)
+        assert max(counts.values(), default=1) == 1, proof.lines
+        ids = [just.id for _, just in proof.lines if isinstance(just, Axiom)]
+        cited_twice += len(ids) - len(set(ids))
+    assert cited_twice > 0
 
 
 DEEP = 10_000

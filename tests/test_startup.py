@@ -5,6 +5,7 @@ subprocess tests run `python -S` with only `src/` on the path, so numpy
 cannot be imported there.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -154,16 +155,23 @@ def test_only_countermodel_loads_numpy():
 
 def test_submodules_load_neither_dataclasses_nor_inspect():
     """Every submodule but decide, which imports numpy, imports without
-    dataclasses or inspect; the records are built on syntax.Record."""
+    dataclasses, inspect or typing; the records are built on syntax.Record,
+    and annotations are never evaluated.  No module, decide included,
+    imports typing itself."""
     modules = [f"dalkit.{name}" for name in SUBMODULES if name != "decide"] + ["dalkit.cli"]
     res = run_python("-c", f"""if True:
         import importlib, sys
         for name in {modules!r}:
             importlib.import_module(name)
-        loaded = sorted({{"dataclasses", "inspect"}} & set(sys.modules))
+        loaded = sorted({{"dataclasses", "inspect", "typing"}} & set(sys.modules))
         assert not loaded, loaded
         """, bare=True)
     assert res.returncode == 0, res.stderr
+    for path in sorted((SRC / "dalkit").glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        imported = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names} | \
+            {n.module for n in nodes if isinstance(n, ast.ImportFrom) and not n.level}
+        assert "typing" not in imported, path.name
 
 
 def test_algebra_files_read_build_and_validate_without_loading_numpy():
